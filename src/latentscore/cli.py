@@ -23,6 +23,7 @@ from .experiment import (
     run_sweep,
 )
 from .model_core import (
+    Dataset,
     ModelSpec,
     PriorSet,
     binary_spec,
@@ -82,7 +83,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_score(args) -> int:
     params = read_model(args.model)
-    data = read_dataset(args.data, spec=params.spec)
+    data = read_dataset(args.data)
+    if data.is_complete:
+        data = strip_hidden(data)
+    # The model, not the file, fixes the arities; Dataset checks the rows.
+    data = Dataset(params.spec, data.rows)
     prior = PriorSet.symmetric(params.spec, 1.0 + args.epsilon)
     measures = _parse_measures(args.measures)
     if args.oracle and "oracle" not in measures:

@@ -20,17 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model_core import (
     Dataset,
     ModelSpec,
     ParamSet,
     PriorSet,
-    _component_log_scores,
     align_hidden_arity,
     clamp_rows,
     counts_from_posteriors,
+    e_pass,
     expected_counts,
     log_prior,
 )
@@ -129,13 +128,10 @@ def m_step_ml(stats: StatSet) -> ParamSet:
 
 def _evaluate(params: ParamSet, data: Dataset, prior: PriorSet | None,
               mode: str):
-    """One pass over the data: objective value plus the posterior matrix."""
-    scores = _component_log_scores(params, data.rows)
-    row_ls = logsumexp(scores, axis=1)
-    g = float(row_ls.sum())
+    """One E pass: objective value plus the posterior matrix."""
+    g, post = e_pass(params, data)
     if mode == "map":
         g += log_prior(params, prior)
-    post = np.exp(scores - row_ls[:, None])
     return g, post
 
 
@@ -160,6 +156,33 @@ def _check_fit_inputs(data: Dataset, prior: PriorSet | None,
             raise ValueError("prior and data describe different models")
 
 
+def _em_loop(params: ParamSet, data: Dataset, prior: PriorSet | None,
+             mode: str, max_iters: int, rel_tol: float):
+    """The EM loop behind ``run_em`` and every tournament round.
+
+    Returns (params, g trace, converged).  ``rel_tol=0.0`` disables the
+    stopping rule, so exactly ``max_iters`` M steps run.
+    """
+    g, post = _evaluate(params, data, prior, mode)
+    if not np.isfinite(g):
+        raise NumericalFailureError("objective non-finite at the initial "
+                                    "parameters")
+    trace = [g]
+    for it in range(1, max_iters + 1):
+        params = _one_m_step(post, data, prior, mode)
+        g, post = _evaluate(params, data, prior, mode)
+        if not np.isfinite(g):
+            raise NumericalFailureError(
+                f"objective became non-finite at iteration {it}")
+        trace.append(g)
+        prev = trace[-2]
+        change = abs(g - prev)
+        rel = change if prev == 0.0 else change / abs(prev)
+        if rel < rel_tol:
+            return params, trace, True
+    return params, trace, False
+
+
 def run_em(init: ParamSet, data: Dataset, prior: PriorSet | None,
            config: EmConfig) -> EmResult:
     """Iterate E and M steps from ``init`` until converged or out of budget.
@@ -171,42 +194,11 @@ def run_em(init: ParamSet, data: Dataset, prior: PriorSet | None,
     _check_fit_inputs(data, prior, config)
     if init.spec != data.spec:
         raise ValueError("initial parameters and data describe different models")
-    params = init
-    g, post = _evaluate(params, data, prior, config.mode)
-    if not np.isfinite(g):
-        raise NumericalFailureError("objective non-finite at the initial "
-                                    "parameters")
-    trace = [g]
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iters_after_init + 1):
-        params = _one_m_step(post, data, prior, config.mode)
-        g_new, post = _evaluate(params, data, prior, config.mode)
-        if not np.isfinite(g_new):
-            raise NumericalFailureError(
-                f"objective became non-finite at iteration {it}")
-        trace.append(g_new)
-        iterations = it
-        prev = trace[-2]
-        change = abs(g_new - prev)
-        rel = change if prev == 0.0 else change / abs(prev)
-        if rel < config.rel_tol:
-            converged = True
-            break
+    params, trace, converged = _em_loop(
+        init, data, prior, config.mode, config.max_iters_after_init,
+        config.rel_tol)
     return EmResult(params=params, final_g=trace[-1], converged=converged,
-                    iterations_used=iterations, g_trace=trace)
-
-
-def _run_fixed(params: ParamSet, data: Dataset, prior: PriorSet | None,
-               mode: str, count: int):
-    g, post = _evaluate(params, data, prior, mode)
-    for _ in range(count):
-        params = _one_m_step(post, data, prior, mode)
-        g, post = _evaluate(params, data, prior, mode)
-    if not np.isfinite(g):
-        raise NumericalFailureError("objective became non-finite during "
-                                    "initialization")
-    return params, g
+                    iterations_used=len(trace) - 1, g_trace=trace)
 
 
 def tournament_init(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
@@ -226,8 +218,9 @@ def tournament_init(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
     while len(copies) > 1:
         scored = []
         for idx, params in copies:
-            params, g = _run_fixed(params, data, prior, config.mode, iters)
-            scored.append((g, idx, params))
+            params, trace, _ = _em_loop(params, data, prior, config.mode,
+                                        iters, 0.0)
+            scored.append((trace[-1], idx, params))
         scored.sort(key=lambda t: (-t[0], t[1]))
         copies = [(idx, params) for _, idx, params in scored[:len(copies) // 2]]
         iters *= 2

@@ -224,11 +224,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     n_threads = _thread_count(len(tasks))
     log.info("sweep: %d cells on %d threads", len(tasks), n_threads)
     started = perf_counter()
-    if n_threads == 1:
-        cells = [run_cell(k) for k in range(len(tasks))]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            cells = list(pool.map(run_cell, range(len(tasks))))
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        cells = list(pool.map(run_cell, range(len(tasks))))
     log.info("sweep finished in %.3fs", perf_counter() - started)
     return SweepResult(config=config, true_model=true_model, cells=cells)
 

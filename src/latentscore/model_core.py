@@ -93,16 +93,11 @@ class ParamSet:
         self.root = np.asarray(self.root, dtype=float)
         self.leaves = [np.asarray(t, dtype=float) for t in self.leaves]
         _check_rows(self.root, self.leaves, self.spec, "ParamSet")
-        for row in self._rows():
-            if np.any(row <= 0.0) or np.any(row > 1.0):
+        for table in [self.root[None, :]] + self.leaves:
+            if np.any(table <= 0.0) or np.any(table > 1.0):
                 raise ValueError("probabilities must lie in (0, 1]")
-            if abs(row.sum() - 1.0) > ROW_SUM_TOL:
+            if np.any(np.abs(table.sum(axis=1) - 1.0) > ROW_SUM_TOL):
                 raise ValueError("simplex row does not sum to 1")
-
-    def _rows(self):
-        yield self.root
-        for table in self.leaves:
-            yield from table
 
     def copy(self) -> "ParamSet":
         return ParamSet(self.spec, self.root.copy(),
@@ -209,26 +204,20 @@ def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
     d = dimension(spec)
     if coords.shape != (d,):
         raise ValueError(f"expected {d} free coordinates, got {coords.shape}")
+    if np.any(coords <= 0.0):
+        raise ValueError("free coordinates must be positive")
     c = spec.hidden_arity
-
-    def expand(free_row: np.ndarray) -> np.ndarray:
-        if np.any(free_row <= 0.0):
-            raise ValueError("free coordinates must be positive")
-        rest = 1.0 - free_row.sum()
-        if rest <= 0.0:
+    tables = []
+    pos = 0
+    for n_rows, r in [(1, c)] + [(c, r) for r in spec.observed_arities]:
+        free = coords[pos:pos + n_rows * (r - 1)].reshape(n_rows, r - 1)
+        pos += free.size
+        rest = 1.0 - free.sum(axis=1, keepdims=True)
+        if np.any(rest <= 0.0):
             raise ValueError("free coordinates of a row must sum below 1")
-        return np.concatenate([free_row, [rest]])
-
-    pos = c - 1
-    root = expand(coords[:pos])
-    leaves = []
-    for r in spec.observed_arities:
-        table = np.empty((c, r))
-        for j in range(c):
-            table[j] = expand(coords[pos:pos + r - 1])
-            pos += r - 1
-        leaves.append(table)
-    return ParamSet(spec, root, leaves)
+        tables.append(np.concatenate([free, rest], axis=1))
+    root, *leaves = tables
+    return ParamSet(spec, root[0], leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +231,28 @@ def _component_log_scores(params: ParamSet, rows: np.ndarray) -> np.ndarray:
     return scores
 
 
-def log_likelihood(params: ParamSet, data: Dataset) -> float:
-    """Log probability of the data.
+def e_pass(params: ParamSet, data: Dataset):
+    """One pass over the data: ``(log likelihood, (N, c) posteriors)``.
 
     Incomplete data marginalizes the hidden root per record through
-    log-sum-exp; complete data just reads off the assigned component.
+    log-sum-exp; complete data just reads off the assigned component, and
+    its posteriors are indicators.
     """
     if params.spec != data.spec:
         raise ValueError("params and data describe different models")
     scores = _component_log_scores(params, data.rows)
     if data.hidden is None:
-        return float(np.sum(logsumexp(scores, axis=1)))
-    return float(np.sum(scores[np.arange(data.n_samples), data.hidden]))
+        row_ls = logsumexp(scores, axis=1)
+        return float(row_ls.sum()), np.exp(scores - row_ls[:, None])
+    picked = np.arange(data.n_samples), data.hidden
+    post = np.zeros_like(scores)
+    post[picked] = 1.0
+    return float(np.sum(scores[picked])), post
+
+
+def log_likelihood(params: ParamSet, data: Dataset) -> float:
+    """Log probability of the data (complete or incomplete)."""
+    return e_pass(params, data)[0]
 
 
 def log_prior(params: ParamSet, prior: PriorSet) -> float:
@@ -284,16 +283,8 @@ def log_posterior_g(params: ParamSet, data: Dataset, prior: PriorSet) -> float:
 
 def posterior_over_hidden(params: ParamSet, row) -> np.ndarray:
     """p(root state | one observed record), computed in the log domain."""
-    row = np.asarray(row, dtype=np.int64).reshape(1, -1)
-    scores = _component_log_scores(params, row)[0]
-    post = np.exp(scores - logsumexp(scores))
-    return post / post.sum()
-
-
-def posterior_matrix(params: ParamSet, data: Dataset) -> np.ndarray:
-    """(N, c) hidden-state posteriors for every record."""
-    scores = _component_log_scores(params, data.rows)
-    return np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
+    record = Dataset(params.spec, np.reshape(row, (1, -1)))
+    return e_pass(params, record)[1][0]
 
 
 def counts_from_posteriors(post: np.ndarray, data: Dataset):
@@ -314,13 +305,7 @@ def expected_counts(params: ParamSet, data: Dataset):
     indicators).  Returns ``(root_counts, leaf_counts)`` with the shapes of
     the corresponding parameter tables.
     """
-    n = data.n_samples
-    if data.hidden is not None:
-        post = np.zeros((n, params.spec.hidden_arity))
-        post[np.arange(n), data.hidden] = 1.0
-    else:
-        post = posterior_matrix(params, data)
-    return counts_from_posteriors(post, data)
+    return counts_from_posteriors(e_pass(params, data)[1], data)
 
 
 def grad_g(coords: np.ndarray, data: Dataset, prior: PriorSet) -> np.ndarray:
@@ -336,14 +321,14 @@ def grad_g(coords: np.ndarray, data: Dataset, prior: PriorSet) -> np.ndarray:
     params = free_to_params(data.spec, coords)
     root_counts, leaf_counts = expected_counts(params, data)
 
-    def row_grad(theta, counts, alpha):
+    def table_grad(theta, counts, alpha):
         v = counts + alpha - 1.0
-        return v[:-1] / theta[:-1] - v[-1] / theta[-1]
+        return (v[:, :-1] / theta[:, :-1] - v[:, -1:] / theta[:, -1:]).ravel()
 
-    parts = [row_grad(params.root, root_counts, prior.root)]
+    parts = [table_grad(params.root[None, :], root_counts[None, :],
+                        prior.root[None, :])]
     for table, counts, alphas in zip(params.leaves, leaf_counts, prior.leaves):
-        for j in range(data.spec.hidden_arity):
-            parts.append(row_grad(table[j], counts[j], alphas[j]))
+        parts.append(table_grad(table, counts, alphas))
     return np.concatenate(parts)
 
 

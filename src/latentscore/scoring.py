@@ -31,10 +31,13 @@ from .model_core import (
     ParamSet,
     PriorSet,
     align_hidden_arity,
+    counts_from_posteriors,
     dimension,
+    e_pass,
     grad_g,
     log_likelihood,
     log_posterior_g,
+    log_prior,
     params_to_free,
 )
 from .numerics import (
@@ -196,6 +199,13 @@ def neg_hessian(coords: np.ndarray, data: Dataset, prior: PriorSet,
 # ---------------------------------------------------------------------------
 # The five measures.
 
+def _laplace(g: float, params: ParamSet, data: Dataset,
+             prior: PriorSet) -> float:
+    coords = params_to_free(params)
+    a = neg_hessian(coords, data, prior)
+    return g + 0.5 * coords.size * LOG_2PI - 0.5 * log_det_pd(a)
+
+
 def laplace_score(em, data: Dataset, prior: PriorSet) -> float:
     """g at the mode + (d/2) log 2*pi - half the log determinant of -H.
 
@@ -204,11 +214,7 @@ def laplace_score(em, data: Dataset, prior: PriorSet) -> float:
     (the mode sits on a ridge or a boundary).
     """
     params = _params_of(em)
-    coords = params_to_free(params)
-    g = log_posterior_g(params, data, prior)
-    a = neg_hessian(coords, data, prior)
-    d = coords.size
-    return g + 0.5 * d * LOG_2PI - 0.5 * log_det_pd(a)
+    return _laplace(log_posterior_g(params, data, prior), params, data, prior)
 
 
 def bic_score(loglik_at_mode: float, d: int, n_samples: int) -> float:
@@ -224,6 +230,14 @@ def mled_score(em, data: Dataset, prior: PriorSet) -> float:
     return fractional_bd(e_step(_params_of(em), data), prior)
 
 
+def _cs(mled: float, params: ParamSet, stats: StatSet, ll: float) -> float:
+    if stats.spec.hidden_arity == 1:
+        # Nothing is hidden, so the completed data IS the observed data and
+        # the two likelihood terms are the same quantity.
+        return mled
+    return mled - _expected_complete_loglik(params, stats) + ll
+
+
 def cs_score(em, data: Dataset, prior: PriorSet) -> float:
     """mled - E[complete log lik] + observed log lik, all at the mode.
 
@@ -233,13 +247,8 @@ def cs_score(em, data: Dataset, prior: PriorSet) -> float:
     """
     params = _params_of(em)
     stats = e_step(params, data)
-    if data.spec.hidden_arity == 1:
-        # Nothing is hidden, so the completed data IS the observed data and
-        # the two likelihood terms are the same quantity.
-        return fractional_bd(stats, prior)
-    return (fractional_bd(stats, prior)
-            - _expected_complete_loglik(params, stats)
-            + log_likelihood(params, data))
+    return _cs(fractional_bd(stats, prior), params, stats,
+               log_likelihood(params, data))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +282,10 @@ class ScoreReport:
 
 def score_report(em, data: Dataset, prior: PriorSet,
                  measures=MEASURES, oracle_cap: int = ORACLE_CAP) -> ScoreReport:
-    """Evaluate the requested measures at one mode, sharing one E step.
+    """Evaluate the requested measures at one mode, sharing one E pass.
 
     ``measures`` may include "oracle" in addition to the approximations.
+    Complete data (with the hidden column) raises ValueError up front.
     Failures (non-positive-definite curvature, infeasible enumeration,
     numerics) are recorded per measure instead of raised.
     """
@@ -286,16 +296,18 @@ def score_report(em, data: Dataset, prior: PriorSet,
     if unknown:
         raise ValueError(f"unknown measures: {unknown}")
 
+    if data.is_complete:
+        raise ValueError("score_report expects incomplete data; score a "
+                         "dataset with the hidden column with bd_complete")
+
     d = dimension(data.spec)
     n = data.n_samples
-    ll = log_likelihood(params, data)
-    g = log_posterior_g(params, data, prior)
+    ll, post = e_pass(params, data)
+    stats = StatSet(data.spec, *counts_from_posteriors(post, data))
+    g = ll + log_prior(params, prior)
     report = ScoreReport(measures=measures, n_samples=n, dim=d,
                          loglik_at_mode=ll, g_at_mode=g)
-
-    need_stats = bool({"mled", "cs"} & set(measures))
-    stats = e_step(params, data) if need_stats else None
-    mled_val = fractional_bd(stats, prior) if need_stats else None
+    mled = fractional_bd(stats, prior)
 
     for name in measures:
         try:
@@ -304,15 +316,11 @@ def score_report(em, data: Dataset, prior: PriorSet,
             elif name == "draper":
                 val = draper_score(ll, d, n)
             elif name == "mled":
-                val = mled_val
+                val = mled
             elif name == "cs":
-                if data.spec.hidden_arity == 1:
-                    val = mled_val
-                else:
-                    val = (mled_val
-                           - _expected_complete_loglik(params, stats) + ll)
+                val = _cs(mled, params, stats, ll)
             elif name == "laplace":
-                val = laplace_score(params, data, prior)
+                val = _laplace(g, params, data, prior)
             else:
                 val = oracle_exact(data, data.spec, prior, cap=oracle_cap)
         except (NotPositiveDefiniteError, NumericalFailureError,

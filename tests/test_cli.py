@@ -210,6 +210,27 @@ class TestScore:
         assert header == ",".join(MEASURES)
         float(row.split(",")[0])
 
+    def test_hidden_column_is_ignored(self, tmp_path, capsys):
+        # The data keeps a hidden column from a 4-state model; the scored
+        # model has 2 states, so the column's values are out of its range.
+        _, kept = _generate(tmp_path, "k", c=4, samples=12, keep_hidden=True)
+        _, stripped = _generate(tmp_path, "k2", c=4, samples=12)
+        assert read_dataset(kept).is_complete
+        assert read_dataset(kept).rows.tolist() == \
+            read_dataset(stripped).rows.tolist()
+        model_path = tmp_path / "fit.json"
+        assert main(["train", "--data", str(stripped), "--c", "2",
+                     "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        for measures in ("bic,laplace", ",".join(MEASURES)):
+            outputs = []
+            for data_path in (kept, stripped):
+                assert main(["score", "--model", str(model_path),
+                             "--data", str(data_path),
+                             "--measures", measures]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+
     def test_unknown_measure_is_a_runtime_error(self, tmp_path, capsys):
         model_path, data_path = self._fit(tmp_path, capsys)
         code = main(["score", "--model", str(model_path),

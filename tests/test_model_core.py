@@ -29,6 +29,12 @@ def test_paramset_validation():
         ls.ParamSet(spec, np.array([0.7, 0.7]), [np.full((2, 2), 0.5)])
     with pytest.raises(ValueError):
         ls.ParamSet(spec, np.array([1.2, -0.2]), [np.full((2, 2), 0.5)])
+    # The bad row is the second row of the leaf table, not its first.
+    root = np.array([0.5, 0.5])
+    with pytest.raises(ValueError):
+        ls.ParamSet(spec, root, [np.array([[0.5, 0.5], [0.7, 0.7]])])
+    with pytest.raises(ValueError):
+        ls.ParamSet(spec, root, [np.array([[0.5, 0.5], [1.2, -0.2]])])
 
 
 def _single_leaf_params(c, root, rows):
@@ -167,17 +173,31 @@ class TestPosteriorOverHidden:
         for row in data.rows:
             assert ls.posterior_over_hidden(model, row).sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("row", [[-1], [0, 1], []],
+                             ids=["negative-state", "extra-field", "short"])
+    def test_malformed_record_rejected(self, row):
+        params = _single_leaf_params(2, [0.5, 0.5], [[0.1, 0.9], [0.9, 0.1]])
+        with pytest.raises(ValueError):
+            ls.posterior_over_hidden(params, row)
+
 
 class TestFreeCoords:
     def test_round_trip_exact(self):
-        spec = ls.ModelSpec((2, 3), 2)
-        model = ls.generate_model(spec, ls.SeededStream(8, 0))
-        coords = ls.params_to_free(model)
-        assert coords.shape == (ls.dimension(spec),)
-        back = ls.free_to_params(spec, coords)
-        assert np.allclose(back.root, model.root, atol=1e-15)
-        for a, b in zip(back.leaves, model.leaves):
-            assert np.allclose(a, b, atol=1e-15)
+        for c in (1, 4):
+            spec = ls.ModelSpec((2, 3, 5), c)
+            model = ls.generate_model(spec, ls.SeededStream(8, 0))
+            coords = ls.params_to_free(model)
+            assert coords.shape == (ls.dimension(spec),)
+            back = ls.free_to_params(spec, coords)
+            assert np.array_equal(ls.params_to_free(back), coords)
+            # Each dropped component comes back as one minus its row's free
+            # sum, which is within rounding of the original component.
+            for table, rebuilt in zip([model.root[None, :]] + model.leaves,
+                                      [back.root[None, :]] + back.leaves):
+                for row, out in zip(table, rebuilt):
+                    expected = np.append(row[:-1], 1.0 - row[:-1].sum())
+                    assert np.array_equal(out, expected)
+                    assert np.allclose(out, row, atol=1e-15)
 
     def test_boundary_rejected(self):
         spec = ls.binary_spec(1, 2)
@@ -187,6 +207,12 @@ class TestFreeCoords:
             ls.free_to_params(spec, np.array([0.5, 1.0, 0.5]))
         with pytest.raises(ValueError):
             ls.free_to_params(spec, np.array([0.5, 0.5]))
+        # An arity-3 row whose free coordinates are each below 1 but sum to 1.
+        spec3 = ls.ModelSpec((3,), 1)
+        with pytest.raises(ValueError):
+            ls.free_to_params(spec3, np.array([0.6, 0.4]))
+        with pytest.raises(ValueError):
+            ls.free_to_params(spec3, np.array([0.7, 0.5]))
 
 
 class TestGradG:
@@ -209,6 +235,23 @@ class TestGradG:
                          - ls.log_posterior_g(ls.free_to_params(spec, xm), data, prior)) / (2 * h)
             rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
             assert rel.max() <= 1e-5
+
+    def test_equals_row_by_row_reference(self):
+        spec = ls.ModelSpec((2, 3, 5), 3)
+        prior = ls.PriorSet.symmetric(spec, 1.3)
+        model = ls.generate_model(spec, ls.SeededStream(102, 0))
+        data = ls.strip_hidden(ls.sample_dataset(model, 40, ls.SeededStream(102, 1)))
+        x = ls.params_to_free(ls.generate_model(spec, ls.SeededStream(103, 0)))
+        at = ls.free_to_params(spec, x)
+        root_counts, leaf_counts = expected_counts(at, data)
+        rows = [(at.root, root_counts, prior.root)]
+        for table, counts, alphas in zip(at.leaves, leaf_counts, prior.leaves):
+            rows.extend(zip(table, counts, alphas))
+        parts = []
+        for theta, counts, alpha in rows:
+            v = counts + alpha - 1.0
+            parts.append(v[:-1] / theta[:-1] - v[-1] / theta[-1])
+        assert np.array_equal(ls.grad_g(x, data, prior), np.concatenate(parts))
 
     def test_complete_data_uniform_prior_closed_form(self):
         spec = ls.binary_spec(1, 2)

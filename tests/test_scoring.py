@@ -366,22 +366,58 @@ class TestMledAndCs:
 
 
 class TestScoreReport:
-    def _fitted(self, make_instance, seed=88):
-        spec, data, prior = make_instance(seed=seed, n=3, c=2, n_samples=10)
+    def _fitted(self, make_instance, seed=88, c=2):
+        spec, data, prior = make_instance(seed=seed, n=3, c=c, n_samples=10)
         em = ls.fit(data, spec, prior, config=ls.EmConfig(),
                     rng=ls.SeededStream(seed, 3))
         return spec, data, prior, em
 
     def test_full_report(self, make_instance):
-        spec, data, prior, em = self._fitted(make_instance)
-        report = ls.score_report(em, data, prior,
-                                 measures=ls.MEASURES + ("oracle",))
-        assert not report.failures
-        assert set(report.scores) == set(ls.MEASURES) | {"oracle"}
-        assert report.dim == ls.dimension(spec)
-        assert report.n_samples == 10
-        assert report.scores["draper"] - report.scores["bic"] == pytest.approx(
-            report.dim / 2 * LOG_2PI, abs=1e-12)
+        for c in (2, 1):
+            spec, data, prior, em = self._fitted(make_instance, c=c)
+            report = ls.score_report(em, data, prior,
+                                     measures=ls.MEASURES + ("oracle",))
+            assert not report.failures
+            assert set(report.scores) == set(ls.MEASURES) | {"oracle"}
+            assert report.dim == ls.dimension(spec)
+            assert report.n_samples == 10
+            assert report.scores["draper"] - report.scores["bic"] == \
+                pytest.approx(report.dim / 2 * LOG_2PI, abs=1e-12)
+            # The report shares one E pass; each entry is bit-identical to
+            # its stand-alone function.
+            ll = ls.log_likelihood(em.params, data)
+            assert report.loglik_at_mode == ll
+            assert report.g_at_mode == ls.log_posterior_g(em.params, data,
+                                                          prior)
+            assert report.scores["laplace"] == ls.laplace_score(em, data,
+                                                                prior)
+            assert report.scores["mled"] == ls.mled_score(em, data, prior)
+            assert report.scores["cs"] == ls.cs_score(em, data, prior)
+            assert report.scores["bic"] == ls.bic_score(ll, report.dim, 10)
+            assert report.scores["draper"] == ls.draper_score(ll, report.dim,
+                                                              10)
+
+    def test_one_e_pass(self, make_instance, monkeypatch):
+        import latentscore.model_core as model_core
+        spec, data, prior, em = self._fitted(make_instance, seed=93)
+        passes = []
+        score_rows = model_core._component_log_scores
+
+        def counted(params, rows):
+            passes.append(rows.shape[0])
+            return score_rows(params, rows)
+
+        monkeypatch.setattr(model_core, "_component_log_scores", counted)
+        ls.score_report(em, data, prior, measures=("bic", "draper", "mled", "cs"))
+        assert passes == [data.n_samples]
+
+    def test_complete_data_rejected(self, make_instance):
+        spec, data, prior, em = self._fitted(make_instance, seed=92)
+        complete = ls.Dataset(spec, data.rows,
+                              hidden=np.zeros(data.n_samples, dtype=int))
+        for measures in (("bic", "laplace"), ls.MEASURES):
+            with pytest.raises(ValueError):
+                ls.score_report(em, complete, prior, measures=measures)
 
     def test_csv_round_trip_preserves_precision(self, make_instance):
         spec, data, prior, em = self._fitted(make_instance, seed=89)
