@@ -42,8 +42,7 @@ for seed in SEEDS:
         else:
             gaps[m].append(float("nan"))
     # distance of the mode from the simplex boundary, over all table entries
-    tables = [em.params.root] + list(em.params.leaves)
-    edge.append(min(float(np.min(t)) for t in tables))
+    edge.append(min(float(np.min(t)) for t in em.params.tables))
 
 print(f"{len(list(SEEDS))} instances: {N_LEAVES} binary leaves, "
       f"hidden arity {C_FIT}, N={N_SAMPLES}")

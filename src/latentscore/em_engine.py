@@ -26,6 +26,7 @@ from .model_core import (
     ModelSpec,
     ParamSet,
     PriorSet,
+    StatSet,
     align_hidden_arity,
     clamp_rows,
     counts_from_posteriors,
@@ -34,7 +35,7 @@ from .model_core import (
     log_prior,
 )
 from .numerics import NumericalFailureError, SeededStream
-from .synth_data import StatSet, generate_model
+from .synth_data import generate_model
 
 
 class DegeneratePriorError(ValueError):
@@ -86,13 +87,10 @@ def e_step(params: ParamSet, data: Dataset) -> StatSet:
     if data.is_complete:
         raise ValueError("E step expects incomplete data; use sufficient_stats "
                          "for a dataset with the hidden column")
-    root_counts, leaf_counts = expected_counts(params, data)
-    return StatSet(data.spec, root_counts, leaf_counts)
+    return expected_counts(params, data)
 
 
 def _map_rows(counts: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    counts = np.atleast_2d(counts)
-    alphas = np.atleast_2d(alphas)
     r = counts.shape[1]
     denom = counts.sum(axis=1) + alphas.sum(axis=1) - r
     if np.any(denom <= 0.0):
@@ -102,7 +100,6 @@ def _map_rows(counts: np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
 
 def _ml_rows(counts: np.ndarray) -> np.ndarray:
-    counts = np.atleast_2d(counts)
     denom = counts.sum(axis=1)
     if np.any(denom <= 0.0):
         raise StarvedRowError("a row has zero expected count; its maximum-"
@@ -114,16 +111,14 @@ def m_step_map(stats: StatSet, prior: PriorSet) -> ParamSet:
     """Row-wise posterior mode: (counts + alpha - 1) / (total + alpha0 - r)."""
     if stats.spec != prior.spec:
         raise ValueError("statistics and prior describe different models")
-    root = _map_rows(stats.root, prior.root)[0]
-    leaves = [_map_rows(c, a) for c, a in zip(stats.leaves, prior.leaves)]
-    return ParamSet(stats.spec, root, leaves)
+    return ParamSet.from_tables(stats.spec, [
+        _map_rows(c, a) for c, a in zip(stats.tables, prior.tables)])
 
 
 def m_step_ml(stats: StatSet) -> ParamSet:
     """Row-wise relative frequencies of the expected counts."""
-    root = _ml_rows(stats.root)[0]
-    leaves = [_ml_rows(c) for c in stats.leaves]
-    return ParamSet(stats.spec, root, leaves)
+    return ParamSet.from_tables(stats.spec,
+                                [_ml_rows(c) for c in stats.tables])
 
 
 def _evaluate(params: ParamSet, data: Dataset, prior: PriorSet | None,
@@ -137,8 +132,7 @@ def _evaluate(params: ParamSet, data: Dataset, prior: PriorSet | None,
 
 def _one_m_step(post: np.ndarray, data: Dataset, prior: PriorSet | None,
                 mode: str) -> ParamSet:
-    root_counts, leaf_counts = counts_from_posteriors(post, data)
-    stats = StatSet(data.spec, root_counts, leaf_counts)
+    stats = counts_from_posteriors(post, data)
     if mode == "map":
         return m_step_map(stats, prior)
     return m_step_ml(stats)
@@ -208,7 +202,7 @@ def tournament_init(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
     ``spec`` is the model to fit; it may assume a different hidden arity
     than ``data.spec`` carries.  Copy ``i`` draws its start from
     ``rng.child(i)``, so the result depends only on the stream, not on
-    evaluation order or thread count.
+    evaluation order.
     """
     data = align_hidden_arity(spec, data)
     _check_fit_inputs(data, prior, config)

@@ -10,10 +10,8 @@ only its own cell entry.
 Randomness is budgeted by stream index so a run is a pure function of the
 master seed: cell k (replicate-major order) uses SeededStream(master_seed, k),
 while the true model and the datasets live on high stream indices that small
-cell counts can never reach.  Cells may run on several worker threads
-(LATENT_SCORE_THREADS; 0 or unset picks a small default); results are
-assembled in task order, so every emitted byte is identical across thread
-counts and reruns.
+cell counts can never reach.  Cells run one after another in task order on
+the calling thread, so every emitted byte is identical across reruns.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -45,8 +42,6 @@ from .scoring import MEASURES, score_report
 from .synth_data import generate_model, sample_dataset, strip_hidden
 
 log = logging.getLogger(__name__)
-
-THREADS_ENV = "LATENT_SCORE_THREADS"
 
 # Stream indices for the sweep's own draws; cells use small indices 0..K-1.
 _MODEL_STREAM = 2 ** 32
@@ -167,19 +162,6 @@ class SweepResult:
                 if measure in c.scores}
 
 
-def _thread_count(n_tasks: int) -> int:
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if k < 0:
-        raise ValueError(f"{THREADS_ENV} must be >= 0")
-    if k == 0:
-        k = min(os.cpu_count() or 1, 8)
-    return max(1, min(k, n_tasks))
-
-
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run every cell of the sweep; deterministic given the master seed."""
     spec_true = ModelSpec((2,) * config.n_observed, config.c_true)
@@ -196,8 +178,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
              for tc in config.test_arities]
     em_cfg = EmConfig(mode="map")
 
-    def run_cell(k: int) -> CellResult:
-        rep, tc = tasks[k]
+    def run_cell(k: int, rep: int, tc: int) -> CellResult:
         spec_fit = ModelSpec(spec_true.observed_arities, tc)
         data_fit = Dataset(spec_fit, datasets[rep].rows)
         prior = PriorSet.symmetric(spec_fit, config.alpha)
@@ -221,11 +202,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                           iterations_used=em.iterations_used,
                           scores=report.scores, failures=report.failures)
 
-    n_threads = _thread_count(len(tasks))
-    log.info("sweep: %d cells on %d threads", len(tasks), n_threads)
+    log.info("sweep: %d cells", len(tasks))
     started = perf_counter()
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        cells = list(pool.map(run_cell, range(len(tasks))))
+    cells = [run_cell(k, rep, tc) for k, (rep, tc) in enumerate(tasks)]
     log.info("sweep finished in %.3fs", perf_counter() - started)
     return SweepResult(config=config, true_model=true_model, cells=cells)
 

@@ -5,7 +5,10 @@ The model has one hidden root variable with ``c`` states and ``n`` observed
 leaves, each conditionally independent given the root.  Parameters are
 conditional probability tables whose rows are simplices: the root
 distribution (one row of length ``c``) and, per leaf ``i``, a ``c x r_i``
-table.  Priors are independent Dirichlets of the same shape.
+table.  Priors are independent Dirichlets of the same shape, and the
+sufficient statistics are counts of the same shape.  All three containers
+(``ParamSet``, ``PriorSet``, ``StatSet``) share ``TableSet``'s layout: their
+``tables`` list the root as a one-row table followed by the leaf tables.
 
 All likelihoods run in the log domain; per-row mixture sums use a stable
 log-sum-exp so that products over many leaves cannot underflow.
@@ -67,58 +70,71 @@ def dimension(spec: ModelSpec) -> int:
     return (c - 1) + sum(c * (r - 1) for r in spec.observed_arities)
 
 
-def _check_rows(root: np.ndarray, leaves: list[np.ndarray], spec: ModelSpec,
-                kind: str) -> None:
-    c = spec.hidden_arity
-    if root.shape != (c,):
-        raise ValueError(f"{kind} root has shape {root.shape}, expected ({c},)")
-    if len(leaves) != spec.n_observed:
-        raise ValueError(f"{kind} has {len(leaves)} leaf tables, "
-                         f"expected {spec.n_observed}")
-    for i, (table, r) in enumerate(zip(leaves, spec.observed_arities)):
-        if table.shape != (c, r):
-            raise ValueError(f"{kind} leaf table {i} has shape {table.shape}, "
-                             f"expected ({c}, {r})")
-
-
 @dataclass
-class ParamSet:
+class TableSet:
+    """A root row plus one ``c x r_i`` table per leaf, stored as floats.
+
+    ``tables`` lists the root as a one-row table followed by the leaves, so
+    code that treats every table alike zips ``tables`` of its operands.
+    Subclasses add a value rule through ``_check_values``.
+    """
+
+    spec: ModelSpec
+    root: np.ndarray
+    leaves: list[np.ndarray]
+
+    def __post_init__(self):
+        self.root = np.asarray(self.root, dtype=float)
+        self.leaves = [np.asarray(t, dtype=float) for t in self.leaves]
+        kind = type(self).__name__
+        c = self.spec.hidden_arity
+        if self.root.shape != (c,):
+            raise ValueError(f"{kind} root has shape {self.root.shape}, "
+                             f"expected ({c},)")
+        if len(self.leaves) != self.spec.n_observed:
+            raise ValueError(f"{kind} has {len(self.leaves)} leaf tables, "
+                             f"expected {self.spec.n_observed}")
+        for i, (table, r) in enumerate(zip(self.leaves,
+                                           self.spec.observed_arities)):
+            if table.shape != (c, r):
+                raise ValueError(f"{kind} leaf table {i} has shape "
+                                 f"{table.shape}, expected ({c}, {r})")
+        self._check_values(np.concatenate([t.ravel() for t in self.tables]))
+
+    def _check_values(self, values: np.ndarray) -> None:
+        """Validate every entry; ``values`` holds all tables flattened."""
+
+    @property
+    def tables(self) -> list[np.ndarray]:
+        return [self.root[None, :], *self.leaves]
+
+    @classmethod
+    def from_tables(cls, spec: ModelSpec, tables):
+        """Inverse of ``tables``: the first table is the one-row root."""
+        root, *leaves = tables
+        return cls(spec, np.reshape(root, -1), leaves)
+
+
+class ParamSet(TableSet):
     """Full conditional probability tables; every row is a simplex."""
 
-    spec: ModelSpec
-    root: np.ndarray
-    leaves: list[np.ndarray]
-
-    def __post_init__(self):
-        self.root = np.asarray(self.root, dtype=float)
-        self.leaves = [np.asarray(t, dtype=float) for t in self.leaves]
-        _check_rows(self.root, self.leaves, self.spec, "ParamSet")
-        for table in [self.root[None, :]] + self.leaves:
-            if np.any(table <= 0.0) or np.any(table > 1.0):
-                raise ValueError("probabilities must lie in (0, 1]")
-            if np.any(np.abs(table.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-                raise ValueError("simplex row does not sum to 1")
+    def _check_values(self, values):
+        if np.any(values <= 0.0) or np.any(values > 1.0):
+            raise ValueError("probabilities must lie in (0, 1]")
+        sums = np.concatenate([t.sum(axis=1) for t in self.tables])
+        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
+            raise ValueError("simplex row does not sum to 1")
 
     def copy(self) -> "ParamSet":
-        return ParamSet(self.spec, self.root.copy(),
-                        [t.copy() for t in self.leaves])
+        return ParamSet.from_tables(self.spec, [t.copy() for t in self.tables])
 
 
-@dataclass
-class PriorSet:
+class PriorSet(TableSet):
     """Dirichlet hyperparameters mirroring a ParamSet's shape."""
 
-    spec: ModelSpec
-    root: np.ndarray
-    leaves: list[np.ndarray]
-
-    def __post_init__(self):
-        self.root = np.asarray(self.root, dtype=float)
-        self.leaves = [np.asarray(t, dtype=float) for t in self.leaves]
-        _check_rows(self.root, self.leaves, self.spec, "PriorSet")
-        for table in [self.root[None, :]] + self.leaves:
-            if np.any(table <= 0.0):
-                raise ValueError("Dirichlet hyperparameters must be positive")
+    def _check_values(self, values):
+        if np.any(values <= 0.0):
+            raise ValueError("Dirichlet hyperparameters must be positive")
 
     @classmethod
     def symmetric(cls, spec: ModelSpec, alpha: float) -> "PriorSet":
@@ -131,6 +147,38 @@ class PriorSet:
         )
 
 
+class StatSet(TableSet):
+    """Sufficient statistics (integer counts or fractional expected counts)
+    mirroring a ParamSet's shape."""
+
+    def _check_values(self, values):
+        if np.any(values < 0):
+            raise ValueError("statistics must be non-negative")
+
+    @property
+    def n_samples(self) -> float:
+        return float(self.root.sum())
+
+    @property
+    def is_integral(self) -> bool:
+        return all(np.array_equal(t, np.round(t)) for t in self.tables)
+
+    def __add__(self, other: "StatSet") -> "StatSet":
+        if self.spec != other.spec:
+            raise ValueError("cannot add statistics for different models")
+        return StatSet.from_tables(
+            self.spec, [a + b for a, b in zip(self.tables, other.tables)])
+
+
+def _states(values) -> np.ndarray:
+    """State indices as int64; a non-integral entry raises, never truncates."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)
+                                            & (np.trunc(arr) == arr)):
+        raise ValueError("state indices must be integers")
+    return np.asarray(arr, dtype=np.int64)
+
+
 @dataclass
 class Dataset:
     """N records of observed states, optionally with the hidden column."""
@@ -140,7 +188,7 @@ class Dataset:
     hidden: np.ndarray | None = None
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.rows = _states(self.rows)
         if self.rows.ndim != 2 or self.rows.shape[1] != self.spec.n_observed:
             raise ValueError("rows must be an (N, n_observed) integer array")
         if self.rows.shape[0] < 1:
@@ -149,7 +197,7 @@ class Dataset:
         if np.any(self.rows < 0) or np.any(self.rows >= arities[None, :]):
             raise ValueError("observed state index out of range")
         if self.hidden is not None:
-            self.hidden = np.asarray(self.hidden, dtype=np.int64)
+            self.hidden = _states(self.hidden)
             if self.hidden.shape != (self.rows.shape[0],):
                 raise ValueError("hidden column length must match N")
             if np.any(self.hidden < 0) or np.any(self.hidden >= self.spec.hidden_arity):
@@ -192,10 +240,7 @@ def clamp_rows(table: np.ndarray) -> np.ndarray:
 
 def params_to_free(params: ParamSet) -> np.ndarray:
     """Flatten to free coordinates: root[:-1], then each leaf row's [:-1]."""
-    parts = [params.root[:-1]]
-    for table in params.leaves:
-        parts.append(table[:, :-1].ravel())
-    return np.concatenate(parts)
+    return np.concatenate([t[:, :-1].ravel() for t in params.tables])
 
 
 def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
@@ -216,8 +261,7 @@ def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
         if np.any(rest <= 0.0):
             raise ValueError("free coordinates of a row must sum below 1")
         tables.append(np.concatenate([free, rest], axis=1))
-    root, *leaves = tables
-    return ParamSet(spec, root[0], leaves)
+    return ParamSet.from_tables(spec, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +300,7 @@ def log_likelihood(params: ParamSet, data: Dataset) -> float:
 
 
 def log_prior(params: ParamSet, prior: PriorSet) -> float:
-    """Log Dirichlet density of the parameters, row by row.
+    """Log Dirichlet density of the parameters: a sum of one term per row.
 
     This is the density with respect to the drop-last free coordinates of
     each row, so it can be added to the log likelihood and expanded there
@@ -264,16 +308,15 @@ def log_prior(params: ParamSet, prior: PriorSet) -> float:
     """
     if params.spec != prior.spec:
         raise ValueError("params and prior describe different models")
-    total = 0.0
-    pairs = [(params.root, prior.root)]
-    for table, alphas in zip(params.leaves, prior.leaves):
-        pairs.extend(zip(table, alphas))
-    for theta, alpha in pairs:
+    terms = []
+    for theta, alpha in zip(params.tables, prior.tables):
         if np.any(theta <= 0.0):
             raise ValueError("prior density needs interior parameters")
-        total += (gammaln(alpha.sum()) - gammaln(alpha).sum()
-                  + ((alpha - 1.0) * np.log(theta)).sum())
-    return float(total)
+        terms.append(gammaln(alpha.sum(axis=1)) - gammaln(alpha).sum(axis=1)
+                     + ((alpha - 1.0) * np.log(theta)).sum(axis=1))
+    # cumsum adds strictly left to right, so the row terms are summed in
+    # table order, row by row, with no pairwise regrouping.
+    return float(np.cumsum(np.concatenate(terms))[-1])
 
 
 def log_posterior_g(params: ParamSet, data: Dataset, prior: PriorSet) -> float:
@@ -287,23 +330,25 @@ def posterior_over_hidden(params: ParamSet, row) -> np.ndarray:
     return e_pass(params, record)[1][0]
 
 
-def counts_from_posteriors(post: np.ndarray, data: Dataset):
-    """Accumulate (root_counts, leaf_counts) from an (N, c) posterior matrix."""
-    root_counts = post.sum(axis=0)
+def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:
+    """Expected counts from an (N, c) posterior matrix.
+
+    The root counts are the posterior column sums; leaf ``i``'s row ``j``
+    sums state ``j``'s posterior over the records, split by their value.
+    """
     leaf_counts = []
     for i, r in enumerate(data.spec.observed_arities):
         table = np.zeros((r, post.shape[1]))
         np.add.at(table, data.rows[:, i], post)
         leaf_counts.append(table.T.copy())
-    return root_counts, leaf_counts
+    return StatSet(data.spec, post.sum(axis=0), leaf_counts)
 
 
-def expected_counts(params: ParamSet, data: Dataset):
-    """Posterior-weighted sufficient statistics as raw arrays.
+def expected_counts(params: ParamSet, data: Dataset) -> StatSet:
+    """Posterior-weighted sufficient statistics.
 
     Complete data yields the deterministic counts (posteriors collapse to
-    indicators).  Returns ``(root_counts, leaf_counts)`` with the shapes of
-    the corresponding parameter tables.
+    indicators).
     """
     return counts_from_posteriors(e_pass(params, data)[1], data)
 
@@ -319,16 +364,13 @@ def grad_g(coords: np.ndarray, data: Dataset, prior: PriorSet) -> np.ndarray:
     identity for the score function.
     """
     params = free_to_params(data.spec, coords)
-    root_counts, leaf_counts = expected_counts(params, data)
-
-    def table_grad(theta, counts, alpha):
+    parts = []
+    for theta, counts, alpha in zip(params.tables,
+                                    expected_counts(params, data).tables,
+                                    prior.tables):
         v = counts + alpha - 1.0
-        return (v[:, :-1] / theta[:, :-1] - v[:, -1:] / theta[:, -1:]).ravel()
-
-    parts = [table_grad(params.root[None, :], root_counts[None, :],
-                        prior.root[None, :])]
-    for table, counts, alphas in zip(params.leaves, leaf_counts, prior.leaves):
-        parts.append(table_grad(table, counts, alphas))
+        parts.append(
+            (v[:, :-1] / theta[:, :-1] - v[:, -1:] / theta[:, -1:]).ravel())
     return np.concatenate(parts)
 
 

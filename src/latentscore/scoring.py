@@ -30,6 +30,7 @@ from .model_core import (
     ModelSpec,
     ParamSet,
     PriorSet,
+    StatSet,
     align_hidden_arity,
     counts_from_posteriors,
     dimension,
@@ -46,7 +47,6 @@ from .numerics import (
     log_det_pd,
     log_sum_exp,
 )
-from .synth_data import StatSet
 
 MEASURES = ("laplace", "bic", "draper", "mled", "cs")
 
@@ -65,8 +65,6 @@ def _params_of(mode) -> ParamSet:
 
 
 def _bd_rows(counts: np.ndarray, alphas: np.ndarray) -> float:
-    counts = np.atleast_2d(counts)
-    alphas = np.atleast_2d(alphas)
     a0 = alphas.sum(axis=1)
     return float((gammaln(a0) - gammaln(a0 + counts.sum(axis=1))
                   + (gammaln(alphas + counts) - gammaln(alphas)).sum(axis=1)
@@ -77,8 +75,8 @@ def fractional_bd(stats: StatSet, prior: PriorSet) -> float:
     """The closed-form score with gamma functions taken at real-valued counts."""
     if stats.spec != prior.spec:
         raise ValueError("statistics and prior describe different models")
-    total = _bd_rows(stats.root, prior.root)
-    for counts, alphas in zip(stats.leaves, prior.leaves):
+    total = 0.0
+    for counts, alphas in zip(stats.tables, prior.tables):
         total += _bd_rows(counts, alphas)
     return total
 
@@ -93,8 +91,8 @@ def bd_complete(stats: StatSet, prior: PriorSet) -> float:
 
 def _expected_complete_loglik(params: ParamSet, stats: StatSet) -> float:
     """sum over all cells of E[N] * log theta."""
-    total = float((stats.root * np.log(params.root)).sum())
-    for table, counts in zip(params.leaves, stats.leaves):
+    total = 0.0
+    for table, counts in zip(params.tables, stats.tables):
         total += float((counts * np.log(table)).sum())
     return total
 
@@ -303,7 +301,7 @@ def score_report(em, data: Dataset, prior: PriorSet,
     d = dimension(data.spec)
     n = data.n_samples
     ll, post = e_pass(params, data)
-    stats = StatSet(data.spec, *counts_from_posteriors(post, data))
+    stats = counts_from_posteriors(post, data)
     g = ll + log_prior(params, prior)
     report = ScoreReport(measures=measures, n_samples=n, dim=d,
                          loglik_at_mode=ll, g_at_mode=g)

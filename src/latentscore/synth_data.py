@@ -7,48 +7,14 @@ Datasets are CSV with a header line ``x1,...,xn[,hidden]``; every field is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model_core import Dataset, ModelSpec, ParamSet, _check_rows
+from .model_core import Dataset, ModelSpec, ParamSet, StatSet
 from .numerics import SeededStream, sample_dirichlet
 
 
 class DatasetParseError(ValueError):
     """A dataset file failed to parse; the message names the offending line."""
-
-
-@dataclass
-class StatSet:
-    """Sufficient statistics (integer counts or fractional expected counts)
-    mirroring a ParamSet's shape."""
-
-    spec: ModelSpec
-    root: np.ndarray
-    leaves: list[np.ndarray]
-
-    def __post_init__(self):
-        self.root = np.asarray(self.root, dtype=float)
-        self.leaves = [np.asarray(t, dtype=float) for t in self.leaves]
-        _check_rows(self.root, self.leaves, self.spec, "StatSet")
-        if np.any(self.root < 0) or any(np.any(t < 0) for t in self.leaves):
-            raise ValueError("statistics must be non-negative")
-
-    @property
-    def n_samples(self) -> float:
-        return float(self.root.sum())
-
-    @property
-    def is_integral(self) -> bool:
-        tables = [self.root] + self.leaves
-        return all(np.array_equal(t, np.round(t)) for t in tables)
-
-    def __add__(self, other: "StatSet") -> "StatSet":
-        if self.spec != other.spec:
-            raise ValueError("cannot add statistics for different models")
-        return StatSet(self.spec, self.root + other.root,
-                       [a + b for a, b in zip(self.leaves, other.leaves)])
 
 
 def generate_model(spec: ModelSpec, rng: SeededStream) -> ParamSet:

@@ -1,15 +1,15 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
 import latentscore as ls
+import latentscore.experiment as experiment
 from latentscore.experiment import (
-    THREADS_ENV,
     CellResult,
     SelectionError,
     SweepResult,
-    _thread_count,
     config_from_json_dict,
     config_to_json_dict,
     replicate_selections,
@@ -178,37 +178,27 @@ class TestRunSweep:
             assert "oracle" in cell.scores
             assert np.isfinite(cell.scores["oracle"])
 
-    def test_thread_count_invariance(self, monkeypatch, tmp_path):
+    def test_rerun_byte_identical(self, tmp_path):
         config = _tiny_config()
-        monkeypatch.setenv(THREADS_ENV, "1")
-        r1 = ls.run_sweep(config)
-        ls.emit_reports(r1, tmp_path / "a")
-        monkeypatch.setenv(THREADS_ENV, "3")
-        r2 = ls.run_sweep(config)
-        ls.emit_reports(r2, tmp_path / "b")
+        ls.emit_reports(ls.run_sweep(config), tmp_path / "a")
+        ls.emit_reports(ls.run_sweep(config), tmp_path / "b")
         for name in ("curves.csv", "selection.csv", "summary.csv", "run.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
+    def test_cells_fit_on_calling_thread(self, monkeypatch):
+        threads = []
+        real_fit = experiment.fit
 
-class TestThreadCount:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "2")
-        assert _thread_count(10) == 2
-        monkeypatch.setenv(THREADS_ENV, "16")
-        assert _thread_count(4) == 4
-        monkeypatch.setenv(THREADS_ENV, "0")
-        assert _thread_count(100) >= 1
-        monkeypatch.delenv(THREADS_ENV)
-        assert _thread_count(100) >= 1
+        def recording_fit(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return real_fit(*args, **kwargs)
 
-    def test_env_errors(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "many")
-        with pytest.raises(ValueError):
-            _thread_count(4)
-        monkeypatch.setenv(THREADS_ENV, "-2")
-        with pytest.raises(ValueError):
-            _thread_count(4)
+        monkeypatch.setattr(experiment, "fit", recording_fit)
+        config = _tiny_config()
+        result = ls.run_sweep(config)
+        assert len(threads) == len(result.cells) == 6
+        assert all(t is threading.current_thread() for t in threads)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 import latentscore as ls
 from latentscore.model_core import align_hidden_arity, clamp_rows, expected_counts
@@ -108,6 +109,23 @@ class TestLogPrior:
         expected = sum(one_row(np.array(r))
                        for r in ([0.5, 0.5], [0.3, 0.7], [0.6, 0.4]))
         assert total == pytest.approx(expected, abs=1e-12)
+
+    def test_equals_row_by_row_reference(self):
+        rng = np.random.default_rng(104)
+        for c in (3, 1):
+            spec = ls.ModelSpec((2, 3, 5), c)
+            prior = ls.PriorSet(
+                spec, rng.uniform(0.5, 3.0, c),
+                [rng.uniform(0.5, 3.0, (c, r)) for r in spec.observed_arities])
+            params = ls.generate_model(spec, ls.SeededStream(104, c))
+            rows = [(params.root, prior.root)]
+            for table, alphas in zip(params.leaves, prior.leaves):
+                rows.extend(zip(table, alphas))
+            total = 0.0
+            for theta, alpha in rows:
+                total += (gammaln(alpha.sum()) - gammaln(alpha).sum()
+                          + ((alpha - 1.0) * np.log(theta)).sum())
+            assert ls.log_prior(params, prior) == float(total)
 
 
 class TestLogPosteriorG:
@@ -243,9 +261,9 @@ class TestGradG:
         data = ls.strip_hidden(ls.sample_dataset(model, 40, ls.SeededStream(102, 1)))
         x = ls.params_to_free(ls.generate_model(spec, ls.SeededStream(103, 0)))
         at = ls.free_to_params(spec, x)
-        root_counts, leaf_counts = expected_counts(at, data)
-        rows = [(at.root, root_counts, prior.root)]
-        for table, counts, alphas in zip(at.leaves, leaf_counts, prior.leaves):
+        stats = expected_counts(at, data)
+        rows = [(at.root, stats.root, prior.root)]
+        for table, counts, alphas in zip(at.leaves, stats.leaves, prior.leaves):
             rows.extend(zip(table, counts, alphas))
         parts = []
         for theta, counts, alpha in rows:
@@ -292,17 +310,33 @@ def test_label_permutation_invariance(make_instance):
 def test_expected_counts_totals_and_complete_match(make_instance):
     spec, data, _ = make_instance(seed=12, n=3, c=2, n_samples=25)
     model = ls.generate_model(spec, ls.SeededStream(13, 0))
-    root_counts, leaf_counts = expected_counts(model, data)
-    assert root_counts.sum() == pytest.approx(25, abs=1e-9)
-    for t in leaf_counts:
+    counts = expected_counts(model, data)
+    assert counts.root.sum() == pytest.approx(25, abs=1e-9)
+    for t in counts.leaves:
         assert t.sum() == pytest.approx(25, abs=1e-9)
 
     complete = ls.sample_dataset(model, 30, ls.SeededStream(13, 1))
-    root_counts, leaf_counts = expected_counts(model, complete)
+    counts = expected_counts(model, complete)
     stats = ls.sufficient_stats(complete)
-    assert np.array_equal(root_counts, stats.root)
-    for a, b in zip(leaf_counts, stats.leaves):
+    assert np.array_equal(counts.root, stats.root)
+    for a, b in zip(counts.leaves, stats.leaves):
         assert np.array_equal(a, b)
+
+
+def test_dataset_rejects_non_integral_states():
+    spec = ls.binary_spec(1, 2)
+    with pytest.raises(ValueError):
+        ls.Dataset(spec, [[1.9]])
+    with pytest.raises(ValueError):
+        ls.Dataset(spec, [[1], [0]], hidden=[1.7, 0])
+    params = _single_leaf_params(2, [0.5, 0.5], [[0.1, 0.9], [0.9, 0.1]])
+    with pytest.raises(ValueError):
+        ls.posterior_over_hidden(params, [0.7])
+    # Integral floats are still accepted as states.
+    data = ls.Dataset(spec, [[1.0], [0.0]], hidden=[1.0, 0.0])
+    assert data.rows.dtype == np.int64 and data.hidden.dtype == np.int64
+    assert np.array_equal(data.rows, [[1], [0]])
+    assert np.array_equal(data.hidden, [1, 0])
 
 
 def test_model_json_round_trip(tmp_path):

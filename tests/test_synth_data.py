@@ -6,15 +6,21 @@ from latentscore.synth_data import DatasetParseError
 
 
 class TestStatSet:
-    def test_validation(self):
+    # The shape rule is shared by all three table containers.
+    @pytest.mark.parametrize("cls", [ls.ParamSet, ls.PriorSet, ls.StatSet],
+                             ids=lambda cls: cls.__name__)
+    def test_validation(self, cls):
         spec = ls.binary_spec(2, 2)
+        root, leaf = np.full(2, 0.5), np.full((2, 2), 0.5)
+        cls(spec, root, [leaf, leaf])
         with pytest.raises(ValueError):
-            ls.StatSet(spec, np.array([1.0, -0.5]),
-                       [np.zeros((2, 2)), np.zeros((2, 2))])
-        with pytest.raises(ValueError):
-            ls.StatSet(spec, np.array([1.0]), [np.zeros((2, 2)), np.zeros((2, 2))])
-        with pytest.raises(ValueError):
-            ls.StatSet(spec, np.array([1.0, 1.0]), [np.zeros((2, 2))])
+            cls(spec, np.array([1.0, -0.5]), [leaf, leaf])
+        with pytest.raises(ValueError, match="root has shape"):
+            cls(spec, np.full(1, 0.5), [leaf, leaf])
+        with pytest.raises(ValueError, match="has 1 leaf tables"):
+            cls(spec, root, [leaf])
+        with pytest.raises(ValueError, match="leaf table 1 has shape"):
+            cls(spec, root, [leaf, np.full((2, 3), 0.5)])
 
     def test_n_samples_and_integrality(self):
         spec = ls.binary_spec(1, 2)
