@@ -5,9 +5,11 @@ states, sample a small dataset, throw the hidden column away, and then ask:
 if we fit candidate models with 1, 2, or 3 hidden states, what does each
 scoring measure say the marginal likelihood of the data is?
 
-The dataset is kept tiny on purpose so the exact score (sum over every
-possible completion of the hidden column) is feasible and every
-approximation can be judged against it.
+The dataset is kept tiny on purpose so the exact score is feasible and
+every approximation can be judged against it.  The exact score sums over
+every possible completion of the hidden column, grouped by how many
+records of each distinct observed pattern go to each hidden state: a
+pattern seen m times has C(m + c - 1, c - 1) such splits.
 
 Run: python3 demos/score_one_dataset.py
 """

@@ -1,5 +1,5 @@
-"""Shared numerical primitives: stable log-domain sums, log-gamma,
-Dirichlet sampling on seeded streams, and positive-definite log-determinants.
+"""Shared numerical primitives: Dirichlet sampling on seeded streams and
+positive-definite log-determinants.
 
 Everything here is deterministic given its inputs; randomness enters only
 through :class:`SeededStream`, which maps a ``(master_seed, stream_index)``
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -70,29 +69,6 @@ class SeededStream:
             raise ValueError("child index must be non-negative")
         mixed = _splitmix64(self.stream_index ^ _splitmix64(index + 1))
         return SeededStream(self.master_seed, mixed)
-
-
-def log_sum_exp(values) -> float:
-    """log(sum(exp(v))) for 1-D log-domain values, shifted by the max.
-
-    Entries may be -inf, but not all of them; an empty input is an error.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("log_sum_exp needs a non-empty 1-D input")
-    m = np.max(v)
-    if m == -np.inf:
-        raise ValueError("log_sum_exp of all -inf entries is undefined")
-    return float(m + np.log(np.sum(np.exp(v - m))))
-
-
-def log_gamma(x):
-    """Natural log of the gamma function for x > 0 (fractional x supported)."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("log_gamma requires strictly positive arguments")
-    out = gammaln(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def sample_dirichlet(alphas, rng: SeededStream) -> np.ndarray:

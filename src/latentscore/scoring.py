@@ -13,7 +13,9 @@ evaluated at the posterior mode found by EM:
   the expected complete-data log likelihood at the mode.
 
 ``oracle_exact`` sums the closed form over every completion of the hidden
-column, which is exponential in N and therefore capped.
+column, grouped by how each distinct observed pattern's m_k records split
+over the c states: prod_k C(m_k + c - 1, c - 1) groups, which ``cap``
+bounds.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from .em_engine import EmResult, e_step
 from .model_core import (
@@ -45,7 +47,6 @@ from .numerics import (
     NotPositiveDefiniteError,
     NumericalFailureError,
     log_det_pd,
-    log_sum_exp,
 )
 
 MEASURES = ("laplace", "bic", "draper", "mled", "cs")
@@ -56,7 +57,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 class EnumerationInfeasibleError(RuntimeError):
-    """Exact enumeration would exceed the completion cap."""
+    """Exact enumeration would exceed the cap on groups of completions."""
 
 
 def _params_of(mode) -> ParamSet:
@@ -98,13 +99,37 @@ def _expected_complete_loglik(params: ParamSet, stats: StatSet) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact oracle by enumeration of hidden-column completions.
+# Exact oracle by grouped completions of the hidden column.
+
+def _splits(m: int, c: int) -> list[list[int]]:
+    """Every way to put m exchangeable records into c states: the
+    C(m + c - 1, c - 1) lists of c counts that sum to m."""
+    if c == 1:
+        return [[m]]
+    return [[k, *rest] for k in range(m + 1) for rest in _splits(m - k, c - 1)]
+
+
+def _log_rising(alpha: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """sum_j log Gamma(alpha_j + counts[j]) - log Gamma(alpha_j), per group.
+
+    ``counts`` is (c, groups) with integer entries in 0..n, so each gamma
+    term is a lookup in a table over 0..n.
+    """
+    table = gammaln(alpha[:, None] + np.arange(n + 1))
+    return (sum(row.take(k) for row, k in zip(table, counts))
+            - gammaln(alpha).sum())
+
 
 def oracle_exact(data: Dataset, spec: ModelSpec, prior: PriorSet,
                  cap: int = ORACLE_CAP) -> float:
-    """log p(D) as log-sum-exp of the closed form over all c^N completions.
+    """log p(D): log-sum-exp of the closed form over grouped completions.
 
-    Raises EnumerationInfeasibleError when c^N exceeds ``cap``.
+    Records with the same observed pattern are exchangeable, so a
+    completion of the hidden column enters only through how many of each
+    pattern's m_k records go to each state.  Each such split (a group)
+    stands for prod_k m_k! / prod_kj n_kj! completions with equal closed
+    form.  There are prod_k C(m_k + c - 1, c - 1) groups, never more than
+    c^N.  Raises EnumerationInfeasibleError when they exceed ``cap``.
     """
     if data.is_complete:
         raise ValueError("data already carries a hidden column; score it "
@@ -114,52 +139,42 @@ def oracle_exact(data: Dataset, spec: ModelSpec, prior: PriorSet,
         raise ValueError("prior and spec describe different models")
     c = spec.hidden_arity
     n = data.n_samples
-    m = c ** n
-    if m > cap:
+    patterns, mult = np.unique(data.rows, axis=0, return_counts=True)
+    sizes = [math.comb(int(m) + c - 1, c - 1) for m in mult]
+    n_groups = math.prod(sizes)
+    if n_groups > cap:
         raise EnumerationInfeasibleError(
-            f"{c}^{n} = {m} hidden completions exceed the cap of {cap}")
+            f"{n_groups} groups of hidden completions ({len(mult)} distinct "
+            f"patterns, {c} states) exceed the cap of {cap}")
 
-    # Completion t's hidden column is row t of this base-c digit matrix.
-    idx = np.arange(m, dtype=np.int64)
-    completions = np.empty((m, n), dtype=np.int8)
-    power = 1
-    for t in range(n - 1, -1, -1):
-        completions[:, t] = (idx // power) % c
-        power *= c
+    # Group g takes split g_k of pattern k, where (g_0, ..., g_K-1) are the
+    # digits of g in the mixed radix ``sizes``, g_0 the most significant.
+    # Counts never exceed N, so the smallest integer type holding N keeps
+    # the (c, groups) count arrays small.
+    dtype = np.min_scalar_type(n)
+    log_fact = gammaln(np.arange(n + 1) + 1.0)
+    total = np.full(n_groups, float(log_fact[mult].sum()))
+    root = np.zeros((c, n_groups), dtype=dtype)
+    leaf = [np.zeros((r, c, n_groups), dtype=dtype)
+            for r in spec.observed_arities]
+    inner = n_groups
+    for pattern, m, size in zip(patterns, mult, sizes):
+        inner //= size
+        outer = n_groups // (size * inner)
+        split = np.array(_splits(int(m), c), dtype=dtype)
+        total -= np.tile(np.repeat(log_fact[split].sum(axis=1), inner), outer)
+        counts = np.tile(np.repeat(split.T, inner, axis=1), (1, outer))
+        root += counts
+        for table, v in zip(leaf, pattern):
+            table[v] += counts
 
-    masks = [completions == j for j in range(c)]
-    root_counts = [masks[j].sum(axis=1) for j in range(c)]
-
-    # All counts are integers in 0..N, so gammaln(alpha + count) is a table
-    # lookup once the table for that alpha exists.
-    tables: dict[float, np.ndarray] = {}
-
-    def shifted_gammaln(alpha_val: float, count: np.ndarray) -> np.ndarray:
-        key = float(alpha_val)
-        t = tables.get(key)
-        if t is None:
-            t = gammaln(key + np.arange(n + 1, dtype=float))
-            tables[key] = t
-        return t[count]
-
-    total = np.zeros(m)
-    ra = prior.root
-    ra0 = float(ra.sum())
-    total += gammaln(ra0) - gammaln(ra0 + n)
-    for j in range(c):
-        total += shifted_gammaln(ra[j], root_counts[j]) - gammaln(float(ra[j]))
-    for i, r in enumerate(spec.observed_arities):
-        col = data.rows[:, i]
-        sel = [np.flatnonzero(col == k) for k in range(r)]
-        alphas = prior.leaves[i]
-        for j in range(c):
-            a_row = alphas[j]
-            a0 = float(a_row.sum())
-            total += gammaln(a0) - shifted_gammaln(a0, root_counts[j])
-            for k in range(r):
-                cnt = masks[j][:, sel[k]].sum(axis=1)
-                total += shifted_gammaln(a_row[k], cnt) - gammaln(float(a_row[k]))
-    return log_sum_exp(total)
+    ra0 = float(prior.root.sum())
+    total += gammaln(ra0) - gammaln(ra0 + n) + _log_rising(prior.root, root, n)
+    for alphas, table in zip(prior.leaves, leaf):
+        total -= _log_rising(alphas.sum(axis=1), root, n)
+        for v in range(alphas.shape[1]):
+            total += _log_rising(alphas[:, v], table[v], n)
+    return float(logsumexp(total))
 
 
 # ---------------------------------------------------------------------------

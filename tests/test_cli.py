@@ -144,9 +144,9 @@ class TestTrain:
 
 
 class TestScore:
-    def _fit(self, tmp_path, capsys, samples=12):
+    def _fit(self, tmp_path, capsys, samples=12, n=3):
         """Generate, train, and drain the chatter those steps print."""
-        _, data_path = _generate(tmp_path, "s", samples=samples)
+        _, data_path = _generate(tmp_path, "s", samples=samples, n=n)
         model_path = tmp_path / "fit.json"
         assert main(["train", "--data", str(data_path), "--c", "2",
                      "--out", str(model_path)]) == 0
@@ -186,8 +186,9 @@ class TestScore:
         assert oracle < 0.0
 
     def test_oracle_infeasible_fails_loudly(self, tmp_path, capsys):
-        # 2^30 hidden completions blow well past the enumeration cap.
-        model_path, data_path = self._fit(tmp_path, capsys, samples=30)
+        # 30 records over 8 binary leaves fall into about 2.65e7 groups of
+        # hidden completions, well past the enumeration cap.
+        model_path, data_path = self._fit(tmp_path, capsys, samples=30, n=8)
         code = main(["score", "--model", str(model_path),
                      "--data", str(data_path), "--oracle"])
         assert code == 1

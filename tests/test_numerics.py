@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -8,68 +7,8 @@ from latentscore import (
     NotPositiveDefiniteError,
     SeededStream,
     log_det_pd,
-    log_gamma,
-    log_sum_exp,
     sample_dirichlet,
 )
-
-
-class TestLogSumExp:
-    def test_half_plus_half(self):
-        assert log_sum_exp([math.log(0.5), math.log(0.5)]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_shift_far_below_underflow(self):
-        assert log_sum_exp([-1000.0, -1000.0]) == pytest.approx(-1000.0 + math.log(2))
-
-    def test_singleton_identity(self):
-        for x in (-3.5, 0.0, 700.0):
-            assert log_sum_exp([x]) == x
-
-    def test_shift_invariance(self, rng):
-        for _ in range(20):
-            v = rng.normal(size=7) * 10
-            c = rng.normal() * 100
-            assert log_sum_exp(v + c) == pytest.approx(log_sum_exp(v) + c, abs=1e-12)
-
-    def test_partial_neg_inf_ok(self):
-        assert log_sum_exp([-np.inf, 0.0]) == pytest.approx(0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([])
-
-    def test_all_neg_inf_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([-np.inf, -np.inf])
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(5.0) == pytest.approx(math.log(24), rel=1e-14)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-    def test_recurrence(self):
-        for x in (0.5, 1.01, 3.7, 100.0):
-            assert log_gamma(x + 1) == pytest.approx(log_gamma(x) + math.log(x), abs=1e-10)
-
-    def test_against_mpmath(self):
-        # independent high-precision oracle over the required range
-        xs = np.geomspace(1e-3, 1e6, 25)
-        ours = log_gamma(xs)
-        for x, v in zip(xs, ours):
-            exact = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            assert v == pytest.approx(exact, rel=1e-12, abs=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.5)
-
-    def test_array_input(self):
-        out = log_gamma(np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(out, [0.0, 0.0, math.log(2)])
 
 
 class TestSampleDirichlet:

@@ -102,13 +102,25 @@ class TestOracleExact:
         assert ls.oracle_exact(data, spec, prior) == pytest.approx(
             math.log(0.5), abs=1e-12)
 
-    def test_micro_enumeration_cross_check(self):
-        spec = ls.binary_spec(2, 2)
+    @pytest.mark.parametrize("spec, n_samples, asymmetric", [
+        (ls.binary_spec(2, 2), 4, False),
+        (ls.ModelSpec((2, 3, 4), 3), 7, True),
+        # 12 records over 3 binary leaves: patterns repeat, so the grouped
+        # oracle merges completions the brute force lists one by one.
+        (ls.binary_spec(3, 2), 12, False),
+    ], ids=["binary2-c2-N4", "arities234-c3-N7", "binary3-c2-N12"])
+    def test_micro_enumeration_cross_check(self, spec, n_samples, asymmetric):
         model = ls.generate_model(spec, ls.SeededStream(73, 0))
-        data = ls.strip_hidden(ls.sample_dataset(model, 4, ls.SeededStream(73, 1)))
+        data = ls.strip_hidden(
+            ls.sample_dataset(model, n_samples, ls.SeededStream(73, 1)))
         prior = ls.PriorSet.symmetric(spec, 1.01)
+        if asymmetric:
+            rng = np.random.default_rng(73)
+            prior = ls.PriorSet.from_tables(
+                spec, [rng.uniform(0.5, 3.0, t.shape) for t in prior.tables])
         terms = []
-        for combo in itertools.product(range(2), repeat=4):
+        states = range(spec.hidden_arity)
+        for combo in itertools.product(states, repeat=n_samples):
             completed = ls.Dataset(spec, data.rows, hidden=list(combo))
             terms.append(ls.bd_complete(ls.sufficient_stats(completed), prior))
         expected = float(logsumexp(terms))
@@ -137,9 +149,12 @@ class TestOracleExact:
         assert np.isfinite(val)
 
     def test_cap_enforced(self, make_instance):
+        # 2^21 completions exceed the default cap, but they fall into 270
+        # groups, so the cap counts groups: 269 is too few, the default is not.
         spec, data, prior = make_instance(seed=77, n=2, c=2, n_samples=21)
         with pytest.raises(EnumerationInfeasibleError):
-            ls.oracle_exact(data, spec, prior)
+            ls.oracle_exact(data, spec, prior, cap=269)
+        assert np.isfinite(ls.oracle_exact(data, spec, prior))
         spec4, data4, prior4 = make_instance(seed=78, n=2, c=2, n_samples=4)
         with pytest.raises(EnumerationInfeasibleError):
             ls.oracle_exact(data4, spec4, prior4, cap=8)
@@ -442,8 +457,9 @@ class TestScoreReport:
         prior = ls.PriorSet.symmetric(spec, 1.01)
         em = ls.fit(data, spec, prior, config=ls.EmConfig(),
                     rng=ls.SeededStream(91, 2))
+        # These 25 records fall into 138 groups of hidden completions.
         report = ls.score_report(em, data, prior,
-                                 measures=("bic", "oracle"))
+                                 measures=("bic", "oracle"), oracle_cap=137)
         assert "oracle" in report.failures
         assert "oracle" not in report.scores
         assert "bic" in report.scores
