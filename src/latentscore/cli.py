@@ -14,10 +14,12 @@ import json
 import logging
 import os
 import sys
+from dataclasses import MISSING, fields
 
 from .em_engine import EmConfig, fit, result_metadata
 from .experiment import (
     ExperimentConfig,
+    config_from_json_dict,
     emit_reports,
     result_from_json_dict,
     run_sweep,
@@ -112,30 +114,17 @@ def _cmd_sweep(args) -> int:
             doc = json.load(fh)
         # A stored run.json works as a config file; so does a bare config.
         merged = dict(doc.get("config", doc))
-    overrides = {
-        "n_observed": args.n,
-        "c_true": args.c_true,
-        "n_samples": args.samples,
-        "test_c_range": args.test_c,
-        "replicates": args.replicates,
-        "epsilon": args.epsilon,
-        "master_seed": args.seed,
-        "output_dir": args.out,
-    }
-    if args.measures:
-        overrides["measures"] = _parse_measures(args.measures)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    missing = [key for key in
-               ("n_observed", "c_true", "n_samples", "test_c_range",
-                "replicates") if merged.get(key) is None]
+    # Each flag's dest is its field's name; an unset flag (or an empty
+    # --measures) leaves the file's value or the field's default.
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name)
+        if value not in (None, ()):
+            merged[f.name] = value
+    missing = [f.name for f in fields(ExperimentConfig)
+               if f.default is MISSING and merged.get(f.name) is None]
     if missing:
         raise ValueError(f"sweep config is missing: {', '.join(missing)}")
-    known = {"n_observed", "c_true", "n_samples", "test_c_range",
-             "replicates", "epsilon", "measures", "master_seed", "output_dir"}
-    config = ExperimentConfig(
-        **{k: v for k, v in merged.items() if k in known})
+    config = config_from_json_dict(merged)
     if config.output_dir is None:
         raise ValueError("no output directory (use --out or the config file)")
     result = run_sweep(config)
@@ -200,16 +189,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="JSON config (a stored run.json also works); "
                         "flags override its values")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--c-true", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--test-c", type=_parse_c_range, default=None,
+    p.add_argument("--n", dest="n_observed", type=int, metavar="N")
+    p.add_argument("--c-true", type=int)
+    p.add_argument("--samples", dest="n_samples", type=int,
+                   metavar="SAMPLES")
+    p.add_argument("--test-c", dest="test_c_range", type=_parse_c_range,
                    metavar="LO:HI")
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--measures", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--measures", type=_parse_measures)
+    p.add_argument("--seed", dest="master_seed", type=int, metavar="SEED")
+    p.add_argument("--out", dest="output_dir", metavar="OUT")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("report", help="re-render CSVs from a stored run.json")

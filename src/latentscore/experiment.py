@@ -12,6 +12,12 @@ master seed: cell k (replicate-major order) uses SeededStream(master_seed, k),
 while the true model and the datasets live on high stream indices that small
 cell counts can never reach.  Cells run one after another in task order on
 the calling thread, so every emitted byte is identical across reruns.
+
+The dataclass fields are the only statement of the record schema: run.json's
+``config`` block holds exactly the fields of :class:`ExperimentConfig`, and
+each entry of ``cells`` exactly those of :class:`CellResult`.  Reading a
+record back ignores keys that name no field and gives absent fields their
+defaults.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from time import perf_counter
 
 from .em_engine import (
@@ -89,9 +95,9 @@ class ExperimentConfig:
         if not self.measures:
             raise ValueError("measures must be non-empty")
         allowed = set(MEASURES) | {"oracle"}
-        unknown = [m for m in self.measures if m not in allowed]
-        if unknown:
-            raise ValueError(f"unknown measures: {unknown}")
+        bad = [m for m in self.measures if m not in allowed]
+        if bad:
+            raise ValueError(f"unknown measures: {bad}")
 
     @property
     def test_arities(self) -> tuple[int, ...]:
@@ -104,32 +110,14 @@ class ExperimentConfig:
         return 1.0 + self.epsilon
 
 
-def config_to_json_dict(config: ExperimentConfig) -> dict:
-    return {
-        "n_observed": config.n_observed,
-        "c_true": config.c_true,
-        "n_samples": config.n_samples,
-        "test_c_range": list(config.test_c_range),
-        "replicates": config.replicates,
-        "epsilon": config.epsilon,
-        "measures": list(config.measures),
-        "master_seed": config.master_seed,
-        "output_dir": config.output_dir,
-    }
+def _from_fields(cls, doc: dict):
+    """Build ``cls`` from the keys of ``doc`` that name its fields; other
+    keys are ignored and absent fields take their defaults."""
+    return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
 
 def config_from_json_dict(doc: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        n_observed=doc["n_observed"],
-        c_true=doc["c_true"],
-        n_samples=doc["n_samples"],
-        test_c_range=tuple(doc["test_c_range"]),
-        replicates=doc["replicates"],
-        epsilon=doc.get("epsilon", 0.01),
-        measures=tuple(doc.get("measures", MEASURES)),
-        master_seed=doc.get("master_seed", 1),
-        output_dir=doc.get("output_dir"),
-    )
+    return _from_fields(ExperimentConfig, doc)
 
 
 @dataclass
@@ -292,35 +280,17 @@ def _csv_safe(text: str) -> str:
 
 def result_to_json_dict(result: SweepResult) -> dict:
     return {
-        "config": config_to_json_dict(result.config),
+        "config": asdict(result.config),
         "true_model": model_to_json_dict(result.true_model),
-        "cells": [
-            {
-                "replicate": c.replicate,
-                "test_c": c.test_c,
-                "dim": c.dim,
-                "final_g": c.final_g,
-                "converged": c.converged,
-                "iterations_used": c.iterations_used,
-                "scores": c.scores,
-                "failures": c.failures,
-            }
-            for c in result.cells
-        ],
+        "cells": [asdict(c) for c in result.cells],
     }
 
 
 def result_from_json_dict(doc: dict) -> SweepResult:
-    cells = [
-        CellResult(replicate=c["replicate"], test_c=c["test_c"], dim=c["dim"],
-                   final_g=c["final_g"], converged=c["converged"],
-                   iterations_used=c["iterations_used"],
-                   scores=dict(c["scores"]), failures=dict(c["failures"]))
-        for c in doc["cells"]
-    ]
     return SweepResult(config=config_from_json_dict(doc["config"]),
                        true_model=params_from_json_dict(doc["true_model"]),
-                       cells=cells)
+                       cells=[_from_fields(CellResult, c)
+                              for c in doc["cells"]])
 
 
 def emit_reports(result: SweepResult, out_dir) -> None:

@@ -125,9 +125,6 @@ class ParamSet(TableSet):
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
             raise ValueError("simplex row does not sum to 1")
 
-    def copy(self) -> "ParamSet":
-        return ParamSet.from_tables(self.spec, [t.copy() for t in self.tables])
-
 
 class PriorSet(TableSet):
     """Dirichlet hyperparameters mirroring a ParamSet's shape."""

@@ -72,19 +72,22 @@ class SeededStream:
 
 
 def sample_dirichlet(alphas, rng: SeededStream) -> np.ndarray:
-    """One draw from Dirichlet(alphas) via normalized gamma variates.
+    """Independent Dirichlet draws via normalized gamma variates.
 
-    Components are clamped below at 1e-300 before normalization so downstream
+    The last axis of ``alphas`` is the simplex; every leading index is one
+    draw.  Gamma variates are taken in C order, so a table drawn in one call
+    equals its rows drawn one call each from the same stream.  Components are
+    clamped below at 1e-300 before normalization so downstream
     log-likelihoods stay finite.
     """
     a = np.asarray(alphas, dtype=float)
-    if a.ndim != 1 or a.size < 2:
+    if a.ndim < 1 or a.shape[-1] < 2:
         raise ValueError("need at least two concentration parameters")
     if np.any(a <= 0):
         raise ValueError("Dirichlet concentrations must be positive")
     draws = rng.generator.standard_gamma(a)
     draws = np.maximum(draws, 1e-300)
-    return draws / draws.sum()
+    return draws / draws.sum(axis=-1, keepdims=True)
 
 
 def log_det_pd(matrix: np.ndarray) -> float:

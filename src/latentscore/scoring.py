@@ -53,6 +53,8 @@ MEASURES = ("laplace", "bic", "draper", "mled", "cs")
 
 ORACLE_CAP = 2 ** 20
 
+HESSIAN_REL_STEP = 1e-5
+
 LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -180,18 +182,19 @@ def oracle_exact(data: Dataset, spec: ModelSpec, prior: PriorSet,
 # ---------------------------------------------------------------------------
 # Curvature at the mode.
 
-def neg_hessian(coords: np.ndarray, data: Dataset, prior: PriorSet,
-                rel_step: float = 1e-5) -> np.ndarray:
+def neg_hessian(coords: np.ndarray, data: Dataset,
+                prior: PriorSet) -> np.ndarray:
     """-(d^2 g / dx^2) by central differences of the exact gradient.
 
-    The step for coordinate j is rel_step * max(1, |x_j|).  The averaged
-    matrix (J + J^T) / 2 is exactly symmetric, which log_det_pd requires.
+    The step for coordinate j is HESSIAN_REL_STEP * max(1, |x_j|).  The
+    averaged matrix (J + J^T) / 2 is exactly symmetric, which log_det_pd
+    requires.
     """
     x = np.asarray(coords, dtype=float)
     d = x.size
     jac = np.empty((d, d))
     for j in range(d):
-        h = rel_step * max(1.0, abs(x[j]))
+        h = HESSIAN_REL_STEP * max(1.0, abs(x[j]))
         xp = x.copy()
         xp[j] += h
         xm = x.copy()
@@ -294,7 +297,7 @@ class ScoreReport:
 
 
 def score_report(em, data: Dataset, prior: PriorSet,
-                 measures=MEASURES, oracle_cap: int = ORACLE_CAP) -> ScoreReport:
+                 measures=MEASURES) -> ScoreReport:
     """Evaluate the requested measures at one mode, sharing one E pass.
 
     ``measures`` may include "oracle" in addition to the approximations.
@@ -304,10 +307,10 @@ def score_report(em, data: Dataset, prior: PriorSet,
     """
     params = _params_of(em)
     measures = tuple(measures)
-    known = set(MEASURES) | {"oracle"}
-    unknown = [m for m in measures if m not in known]
-    if unknown:
-        raise ValueError(f"unknown measures: {unknown}")
+    allowed = set(MEASURES) | {"oracle"}
+    bad = [m for m in measures if m not in allowed]
+    if bad:
+        raise ValueError(f"unknown measures: {bad}")
 
     if data.is_complete:
         raise ValueError("score_report expects incomplete data; score a "
@@ -335,7 +338,7 @@ def score_report(em, data: Dataset, prior: PriorSet,
             elif name == "laplace":
                 val = _laplace(g, params, data, prior)
             else:
-                val = oracle_exact(data, data.spec, prior, cap=oracle_cap)
+                val = oracle_exact(data, data.spec, prior)
         except (NotPositiveDefiniteError, NumericalFailureError,
                 EnumerationInfeasibleError) as exc:
             report.failures[name] = f"{type(exc).__name__}: {exc}"

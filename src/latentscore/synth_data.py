@@ -24,12 +24,8 @@ def generate_model(spec: ModelSpec, rng: SeededStream) -> ParamSet:
         root = np.ones(1)
     else:
         root = sample_dirichlet(np.ones(c), rng)
-    leaves = []
-    for r in spec.observed_arities:
-        table = np.empty((c, r))
-        for j in range(c):
-            table[j] = sample_dirichlet(np.ones(r), rng)
-        leaves.append(table)
+    leaves = [sample_dirichlet(np.ones((c, r)), rng)
+              for r in spec.observed_arities]
     return ParamSet(spec, root, leaves)
 
 

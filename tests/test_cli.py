@@ -284,6 +284,33 @@ class TestSweep:
         assert config["replicates"] == 1
         assert config["n_observed"] == 3
 
+    def test_empty_measures_flag_keeps_the_config_file_value(self, tmp_path):
+        rerun = tmp_path / "empty_measures"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "n_observed": 3, "c_true": 2, "n_samples": 30,
+            "test_c_range": [1, 2], "replicates": 1,
+            "measures": ["bic", "mled"]}))
+        code = main(["sweep", "--config", str(config_path), "--measures", "",
+                     "--out", str(rerun)])
+        assert code == 0
+        config = json.loads((rerun / "run.json").read_text())["config"]
+        assert config["measures"] == ["bic", "mled"]
+
+    def test_config_file_extra_keys_are_ignored(self, tmp_path):
+        out = tmp_path / "extra"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "n_observed": 3, "c_true": 2, "n_samples": 30,
+            "test_c_range": [1, 2], "replicates": 1,
+            "measures": ["bic"], "comment": "not a config field"}))
+        code = main(["sweep", "--config", str(config_path),
+                     "--out", str(out)])
+        assert code == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert "comment" not in config
+        assert config["measures"] == ["bic"]
+
     def test_missing_keys_fail_with_a_diagnostic(self, tmp_path, capsys):
         code = main(["sweep", "--n", "3", "--out", str(tmp_path / "x")])
         assert code == 1

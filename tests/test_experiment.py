@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 
@@ -11,7 +12,6 @@ from latentscore.experiment import (
     SelectionError,
     SweepResult,
     config_from_json_dict,
-    config_to_json_dict,
     replicate_selections,
     result_from_json_dict,
     result_to_json_dict,
@@ -60,7 +60,7 @@ class TestExperimentConfig:
     def test_json_round_trip(self):
         config = _tiny_config(measures=("laplace", "bic", "oracle"),
                               output_dir="/tmp/somewhere", epsilon=0.02)
-        doc = config_to_json_dict(config)
+        doc = dataclasses.asdict(config)
         assert config_from_json_dict(json.loads(json.dumps(doc))) == config
 
     def test_json_defaults(self):
@@ -281,6 +281,20 @@ class TestEmitReports:
         assert rebuilt.config == config
         ls.emit_reports(rebuilt, tmp_path / "again")
         for name in ("curves.csv", "selection.csv", "summary.csv", "run.json"):
+            assert ((tmp_path / "again" / name).read_bytes()
+                    == (out / name).read_bytes())
+
+    def test_unknown_keys_are_ignored(self, sweep_dir, tmp_path):
+        config, result, out = sweep_dir
+        with open(out / "run.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["config"]["note"] = "written by a newer version"
+        doc["cells"][0]["e_passes"] = 17
+        rebuilt = result_from_json_dict(doc)
+        assert rebuilt.config == config
+        assert rebuilt.cells == result.cells
+        ls.emit_reports(rebuilt, tmp_path / "again")
+        for name in ("curves.csv", "selection.csv", "summary.csv"):
             assert ((tmp_path / "again" / name).read_bytes()
                     == (out / name).read_bytes())
 

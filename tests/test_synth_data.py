@@ -64,6 +64,21 @@ class TestGenerateModel:
             assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(t > 0)
 
+    @pytest.mark.parametrize("spec", [ls.ModelSpec((2, 3, 5, 9, 12), 3),
+                                      ls.ModelSpec((2, 3), 1)],
+                             ids=["mixed-c3", "c1"])
+    def test_tables_match_row_by_row_draws(self, spec):
+        # Every seed relies on this stream order: the root, then each leaf
+        # table row by row, as if each row were its own Dirichlet draw.
+        m = ls.generate_model(spec, ls.SeededStream(33, 4))
+        rng = ls.SeededStream(33, 4)
+        c = spec.hidden_arity
+        root = ls.sample_dirichlet(np.ones(c), rng) if c > 1 else np.ones(1)
+        assert np.array_equal(m.root, root)
+        for r, table in zip(spec.observed_arities, m.leaves):
+            rows = [ls.sample_dirichlet(np.ones(r), rng) for _ in range(c)]
+            assert np.array_equal(table, np.array(rows))
+
     def test_flat_dirichlet_mean(self):
         # averaging many independently generated root rows approaches uniform
         spec = ls.binary_spec(1, 4)
