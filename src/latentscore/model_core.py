@@ -285,10 +285,8 @@ def e_pass(params: ParamSet, data: Dataset):
     if data.hidden is None:
         row_ls = logsumexp(scores, axis=1)
         return float(row_ls.sum()), np.exp(scores - row_ls[:, None])
-    picked = np.arange(data.n_samples), data.hidden
-    post = np.zeros_like(scores)
-    post[picked] = 1.0
-    return float(np.sum(scores[picked])), post
+    picked = scores[np.arange(data.n_samples), data.hidden]
+    return float(np.sum(picked)), np.eye(data.spec.hidden_arity)[data.hidden]
 
 
 def log_likelihood(params: ParamSet, data: Dataset) -> float:
@@ -332,13 +330,19 @@ def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:
 
     The root counts are the posterior column sums; leaf ``i``'s row ``j``
     sums state ``j``'s posterior over the records, split by their value.
+    The leaf tables sit side by side in ``R = sum(r_i)`` columns, and each
+    hidden state's row of them is one ``bincount``, which adds every cell's
+    terms in record order.  Indicator posteriors give complete-data counts.
     """
-    leaf_counts = []
-    for i, r in enumerate(data.spec.observed_arities):
-        table = np.zeros((r, post.shape[1]))
-        np.add.at(table, data.rows[:, i], post)
-        leaf_counts.append(table.T.copy())
-    return StatSet(data.spec, post.sum(axis=0), leaf_counts)
+    bounds = np.cumsum((0,) + data.spec.observed_arities)
+    cols = (data.rows + bounds[:-1]).ravel()
+    n = data.spec.n_observed
+    stacked = np.stack([
+        np.bincount(cols, weights=np.repeat(post[:, j], n),
+                    minlength=bounds[-1])
+        for j in range(post.shape[1])])
+    return StatSet(data.spec, post.sum(axis=0),
+                   np.split(stacked, bounds[1:-1], axis=1))
 
 
 def expected_counts(params: ParamSet, data: Dataset) -> StatSet:

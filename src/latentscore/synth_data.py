@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model_core import Dataset, ModelSpec, ParamSet, StatSet
+from .model_core import (Dataset, ModelSpec, ParamSet, StatSet,
+                         counts_from_posteriors)
 from .numerics import SeededStream, sample_dirichlet
 
 
@@ -60,17 +61,15 @@ def strip_hidden(data: Dataset) -> Dataset:
 
 
 def sufficient_stats(data: Dataset) -> StatSet:
-    """Integer counts for complete data (incomplete data needs an E step)."""
+    """Integer counts for complete data (incomplete data needs an E step).
+
+    These are ``counts_from_posteriors`` at the indicator posteriors of the
+    hidden column, so complete and expected counts share one kernel.
+    """
     if data.hidden is None:
         raise ValueError("sufficient statistics need complete data")
-    c = data.spec.hidden_arity
-    root = np.bincount(data.hidden, minlength=c).astype(float)
-    leaves = []
-    for i, r in enumerate(data.spec.observed_arities):
-        flat = data.hidden * r + data.rows[:, i]
-        table = np.bincount(flat, minlength=c * r).astype(float).reshape(c, r)
-        leaves.append(table)
-    return StatSet(data.spec, root, leaves)
+    return counts_from_posteriors(np.eye(data.spec.hidden_arity)[data.hidden],
+                                  data)
 
 
 def write_dataset(data: Dataset, path) -> None:
@@ -86,11 +85,12 @@ def write_dataset(data: Dataset, path) -> None:
             fh.write(",".join(fields) + "\n")
 
 
-def read_dataset(path, spec: ModelSpec | None = None) -> Dataset:
+def read_dataset(path) -> Dataset:
     """Parse a dataset CSV.
 
-    With ``spec`` given, state indices are validated against it; otherwise
-    arities are inferred as one past the largest index seen (at least 2).
+    Arities are inferred: each leaf's is one past the largest index seen
+    (at least 2), and the hidden arity is one past the largest hidden index
+    (1 when the column is absent).
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -120,23 +120,12 @@ def read_dataset(path, spec: ModelSpec | None = None) -> Dataset:
             raise DatasetParseError(
                 f"{path}: line {lineno}: non-integer field") from exc
 
-    rows = table[:, :n_vars]
-    hidden = table[:, n_vars] if has_hidden else None
-    if spec is None:
-        arities = tuple(max(2, int(rows[:, i].max()) + 1) for i in range(n_vars))
-        c = int(hidden.max()) + 1 if has_hidden else 1
-        spec = ModelSpec(arities, c)
-    if spec.n_observed != n_vars:
-        raise DatasetParseError(
-            f"{path}: header has {n_vars} variables, spec has {spec.n_observed}")
-    arities = np.array(spec.observed_arities)
-    bad = np.nonzero((rows < 0) | (rows >= arities[None, :]))[0]
+    bad = np.nonzero(table < 0)[0]
     if bad.size:
         raise DatasetParseError(
-            f"{path}: line {bad[0] + 2}: state index out of range")
-    if has_hidden:
-        bad = np.nonzero((hidden < 0) | (hidden >= spec.hidden_arity))[0]
-        if bad.size:
-            raise DatasetParseError(
-                f"{path}: line {bad[0] + 2}: hidden state out of range")
-    return Dataset(spec, rows, hidden)
+            f"{path}: line {bad[0] + 2}: negative state index")
+    rows = table[:, :n_vars]
+    hidden = table[:, n_vars] if has_hidden else None
+    arities = tuple(max(2, int(rows[:, i].max()) + 1) for i in range(n_vars))
+    c = int(hidden.max()) + 1 if has_hidden else 1
+    return Dataset(ModelSpec(arities, c), rows, hidden)

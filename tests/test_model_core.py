@@ -5,7 +5,9 @@ import pytest
 from scipy.special import gammaln
 
 import latentscore as ls
-from latentscore.model_core import align_hidden_arity, clamp_rows, expected_counts
+from latentscore.model_core import (align_hidden_arity, clamp_rows,
+                                    counts_from_posteriors, e_pass,
+                                    expected_counts)
 
 
 def test_dimension_formula():
@@ -320,6 +322,49 @@ def test_expected_counts_totals_and_complete_match(make_instance):
     stats = ls.sufficient_stats(complete)
     assert np.array_equal(counts.root, stats.root)
     for a, b in zip(counts.leaves, stats.leaves):
+        assert np.array_equal(a, b)
+
+
+def _add_at_counts(post, data):
+    # Per-leaf scatter-add: each cell sums its terms in record order.
+    leaves = []
+    for i, r in enumerate(data.spec.observed_arities):
+        table = np.zeros((r, post.shape[1]))
+        np.add.at(table, data.rows[:, i], post)
+        leaves.append(table.T.copy())
+    return [post.sum(axis=0)[None, :], *leaves]
+
+
+def _bincount_stats(data):
+    # Per-leaf integer counts of (hidden, value) pairs.
+    c = data.spec.hidden_arity
+    leaves = [np.bincount(data.hidden * r + data.rows[:, i], minlength=c * r)
+              .astype(float).reshape(c, r)
+              for i, r in enumerate(data.spec.observed_arities)]
+    return [np.bincount(data.hidden, minlength=c).astype(float)[None, :],
+            *leaves]
+
+
+@pytest.mark.parametrize("spec, n_samples, complete", [
+    (ls.ModelSpec((2, 3, 5, 9, 12), 3), 200, False),
+    (ls.binary_spec(32, 8), 400, False),
+    (ls.binary_spec(2, 1), 30, False),
+    (ls.ModelSpec((2, 3, 2), 3), 37, True),
+    (ls.ModelSpec((2, 3, 2), 1), 37, True),
+], ids=["mixed-c3", "n32-c8", "n2-c1", "complete-c3", "complete-c1"])
+def test_counts_equal_per_leaf_references(spec, n_samples, complete):
+    """The count kernel keeps the per-leaf loops' summation order exactly."""
+    model = ls.generate_model(spec, ls.SeededStream(14, 0))
+    data = ls.sample_dataset(model, n_samples, ls.SeededStream(14, 1))
+    if complete:
+        got, want = ls.sufficient_stats(data), _bincount_stats(data)
+    else:
+        data = ls.strip_hidden(data)
+        post = e_pass(model, data)[1]
+        got = counts_from_posteriors(post, data)
+        want = _add_at_counts(post, data)
+    assert len(got.tables) == len(want)
+    for a, b in zip(got.tables, want):
         assert np.array_equal(a, b)
 
 

@@ -192,7 +192,7 @@ class TestDatasetFiles:
         data = ls.sample_dataset(model, 9, ls.SeededStream(34, 1))
         path = tmp_path / "data.csv"
         ls.write_dataset(data, path)
-        back = ls.read_dataset(path, spec=spec)
+        back = ls.read_dataset(path)
         assert back.is_complete
         assert np.array_equal(back.rows, data.rows)
         assert np.array_equal(back.hidden, data.hidden)
@@ -208,11 +208,17 @@ class TestDatasetFiles:
 
     def test_value_out_of_range(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("x1,x2\n0,1\n0,3\n", encoding="utf-8")
-        spec = ls.binary_spec(2, 2)
+        path.write_text("x1,x2\n0,1\n0,-1\n", encoding="utf-8")
         with pytest.raises(DatasetParseError) as err:
-            ls.read_dataset(path, spec=spec)
+            ls.read_dataset(path)
         assert "line 3" in str(err.value)
+
+    def test_negative_hidden_state_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,hidden\n0,1,-1\n1,0,-1\n", encoding="utf-8")
+        with pytest.raises(DatasetParseError) as err:
+            ls.read_dataset(path)
+        assert "line 2" in str(err.value)
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
