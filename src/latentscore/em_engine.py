@@ -13,6 +13,12 @@ of 64 the rounds run 1, 2, 4, 8, 16, 32 iterations, so the eventual winner
 has seen 63 iterations before the main loop starts.  Ties advance the copy
 with the lower index, which keeps the whole procedure a pure function of the
 seed stream.
+
+The one EM loop runs on a stack of parameter sets (see ``TableSet``): a
+round is one stacked EM run over the surviving copies, which carry their
+objective and posteriors into the next round.  Each copy goes through the
+same operations as it would alone, so stacking changes no value.
+``run_em`` runs the same loop on a single set.
 """
 
 from __future__ import annotations
@@ -90,21 +96,23 @@ def e_step(params: ParamSet, data: Dataset) -> StatSet:
     return expected_counts(params, data)
 
 
+# Both row updates take a table of counts or a stack of them (B, rows, r).
+
 def _map_rows(counts: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    r = counts.shape[1]
-    denom = counts.sum(axis=1) + alphas.sum(axis=1) - r
+    r = counts.shape[-1]
+    denom = counts.sum(axis=-1) + alphas.sum(axis=-1) - r
     if np.any(denom <= 0.0):
         raise DegeneratePriorError(
             "posterior-mode update undefined: row count + alpha total <= arity")
-    return clamp_rows((counts + alphas - 1.0) / denom[:, None])
+    return clamp_rows((counts + alphas - 1.0) / denom[..., None])
 
 
 def _ml_rows(counts: np.ndarray) -> np.ndarray:
-    denom = counts.sum(axis=1)
+    denom = counts.sum(axis=-1)
     if np.any(denom <= 0.0):
         raise StarvedRowError("a row has zero expected count; its maximum-"
                               "likelihood update is undefined")
-    return clamp_rows(counts / denom[:, None])
+    return clamp_rows(counts / denom[..., None])
 
 
 def m_step_map(stats: StatSet, prior: PriorSet) -> ParamSet:
@@ -123,11 +131,31 @@ def m_step_ml(stats: StatSet) -> ParamSet:
 
 def _evaluate(params: ParamSet, data: Dataset, prior: PriorSet | None,
               mode: str):
-    """One E pass: objective value plus the posterior matrix."""
+    """One E pass: objective values plus the posteriors."""
     g, post = e_pass(params, data)
     if mode == "map":
         g += log_prior(params, prior)
     return g, post
+
+
+@dataclass
+class _Run:
+    """Where an EM run stands: a single set or a stack of parameter sets,
+    with their objectives and posteriors."""
+
+    params: ParamSet
+    g: float | np.ndarray
+    post: np.ndarray | None
+
+
+def _start(params: ParamSet, data: Dataset, prior: PriorSet | None,
+           mode: str) -> _Run:
+    """The E pass at the initial parameters, where ``_em_loop`` begins."""
+    g, post = _evaluate(params, data, prior, mode)
+    if not np.all(np.isfinite(g)):
+        raise NumericalFailureError("objective non-finite at the initial "
+                                    "parameters")
+    return _Run(params, g, post)
 
 
 def _one_m_step(post: np.ndarray, data: Dataset, prior: PriorSet | None,
@@ -150,31 +178,32 @@ def _check_fit_inputs(data: Dataset, prior: PriorSet | None,
             raise ValueError("prior and data describe different models")
 
 
-def _em_loop(params: ParamSet, data: Dataset, prior: PriorSet | None,
-             mode: str, max_iters: int, rel_tol: float):
+def _em_loop(run: _Run, data: Dataset, prior: PriorSet | None, mode: str,
+             max_iters: int, rel_tol: float):
     """The EM loop behind ``run_em`` and every tournament round.
 
-    Returns (params, g trace, converged).  ``rel_tol=0.0`` disables the
-    stopping rule, so exactly ``max_iters`` M steps run.
+    Advances ``run`` in place and returns (g trace, converged).  The loop
+    stops once every copy's relative change is below ``rel_tol``;
+    ``rel_tol=0.0`` disables that, so exactly ``max_iters`` M steps run.
     """
-    g, post = _evaluate(params, data, prior, mode)
-    if not np.isfinite(g):
-        raise NumericalFailureError("objective non-finite at the initial "
-                                    "parameters")
-    trace = [g]
+    trace = [run.g]
     for it in range(1, max_iters + 1):
-        params = _one_m_step(post, data, prior, mode)
-        g, post = _evaluate(params, data, prior, mode)
-        if not np.isfinite(g):
+        params = _one_m_step(run.post, data, prior, mode)
+        # Drop the only reference to the old posteriors before the next
+        # E pass builds new ones.
+        run.post = None
+        g, run.post = _evaluate(params, data, prior, mode)
+        if not np.all(np.isfinite(g)):
             raise NumericalFailureError(
                 f"objective became non-finite at iteration {it}")
+        run.params, run.g = params, g
         trace.append(g)
         prev = trace[-2]
         change = abs(g - prev)
-        rel = change if prev == 0.0 else change / abs(prev)
-        if rel < rel_tol:
-            return params, trace, True
-    return params, trace, False
+        rel = change / np.where(prev == 0.0, 1.0, abs(prev))
+        if np.all(rel < rel_tol):
+            return trace, True
+    return trace, False
 
 
 def run_em(init: ParamSet, data: Dataset, prior: PriorSet | None,
@@ -188,10 +217,10 @@ def run_em(init: ParamSet, data: Dataset, prior: PriorSet | None,
     _check_fit_inputs(data, prior, config)
     if init.spec != data.spec:
         raise ValueError("initial parameters and data describe different models")
-    params, trace, converged = _em_loop(
-        init, data, prior, config.mode, config.max_iters_after_init,
-        config.rel_tol)
-    return EmResult(params=params, final_g=trace[-1], converged=converged,
+    run = _start(init, data, prior, config.mode)
+    trace, converged = _em_loop(run, data, prior, config.mode,
+                                config.max_iters_after_init, config.rel_tol)
+    return EmResult(params=run.params, final_g=trace[-1], converged=converged,
                     iterations_used=len(trace) - 1, g_trace=trace)
 
 
@@ -202,23 +231,28 @@ def tournament_init(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
     ``spec`` is the model to fit; it may assume a different hidden arity
     than ``data.spec`` carries.  Copy ``i`` draws its start from
     ``rng.child(i)``, so the result depends only on the stream, not on
-    evaluation order.
+    evaluation order.  Each round is one ``_em_loop`` run on the stack of
+    surviving copies.
     """
     data = align_hidden_arity(spec, data)
     _check_fit_inputs(data, prior, config)
-    copies = [(idx, generate_model(spec, rng.child(idx)))
+    starts = [generate_model(spec, rng.child(idx))
               for idx in range(config.tournament_start)]
+    run = _start(ParamSet.from_tables(
+        spec, [np.stack(t) for t in zip(*(s.tables for s in starts))]),
+        data, prior, config.mode)
+    idx = np.arange(config.tournament_start)
     iters = 1
-    while len(copies) > 1:
-        scored = []
-        for idx, params in copies:
-            params, trace, _ = _em_loop(params, data, prior, config.mode,
-                                        iters, 0.0)
-            scored.append((trace[-1], idx, params))
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        copies = [(idx, params) for _, idx, params in scored[:len(copies) // 2]]
+    while idx.size > 1:
+        _em_loop(run, data, prior, config.mode, iters, 0.0)
+        # Best objective first; a tie goes to the lower start index.
+        keep = np.lexsort((idx, -run.g))[:idx.size // 2]
+        idx = idx[keep]
+        run = _Run(ParamSet.from_tables(
+            spec, [t[keep] for t in run.params.tables]),
+            run.g[keep], run.post[keep])
         iters *= 2
-    return copies[0][1]
+    return ParamSet.from_tables(spec, [t[0] for t in run.params.tables])
 
 
 def fit(data: Dataset, spec: ModelSpec, prior: PriorSet | None,

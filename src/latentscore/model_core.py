@@ -8,7 +8,10 @@ distribution (one row of length ``c``) and, per leaf ``i``, a ``c x r_i``
 table.  Priors are independent Dirichlets of the same shape, and the
 sufficient statistics are counts of the same shape.  All three containers
 (``ParamSet``, ``PriorSet``, ``StatSet``) share ``TableSet``'s layout: their
-``tables`` list the root as a one-row table followed by the leaf tables.
+``tables`` list the root as a one-row table followed by the leaf tables.  A
+container may also hold a stack of such sets, one per EM start, along a
+leading axis; the E pass, the prior density and the counts then work on
+every copy at once.
 
 All likelihoods run in the log domain; per-row mixture sums use a stable
 log-sum-exp so that products over many leaves cannot underflow.
@@ -27,7 +30,9 @@ from dataclasses import dataclass
 import json
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
+
+from .numerics import row_logsumexp
 
 ROW_SUM_TOL = 1e-9
 
@@ -76,6 +81,8 @@ class TableSet:
 
     ``tables`` lists the root as a one-row table followed by the leaves, so
     code that treats every table alike zips ``tables`` of its operands.
+    A stack of B sets puts one leading axis of length B on every array: the
+    root is ``(B, c)``, its table ``(B, 1, c)`` and leaf ``i`` ``(B, c, r_i)``.
     Subclasses add a value rule through ``_check_values``.
     """
 
@@ -88,17 +95,18 @@ class TableSet:
         self.leaves = [np.asarray(t, dtype=float) for t in self.leaves]
         kind = type(self).__name__
         c = self.spec.hidden_arity
-        if self.root.shape != (c,):
+        stack = self.root.shape[:-1][:1]
+        if self.root.shape != stack + (c,):
             raise ValueError(f"{kind} root has shape {self.root.shape}, "
-                             f"expected ({c},)")
+                             f"expected {stack + (c,)}")
         if len(self.leaves) != self.spec.n_observed:
             raise ValueError(f"{kind} has {len(self.leaves)} leaf tables, "
                              f"expected {self.spec.n_observed}")
         for i, (table, r) in enumerate(zip(self.leaves,
                                            self.spec.observed_arities)):
-            if table.shape != (c, r):
+            if table.shape != stack + (c, r):
                 raise ValueError(f"{kind} leaf table {i} has shape "
-                                 f"{table.shape}, expected ({c}, {r})")
+                                 f"{table.shape}, expected {stack + (c, r)}")
         self._check_values(np.concatenate([t.ravel() for t in self.tables]))
 
     def _check_values(self, values: np.ndarray) -> None:
@@ -106,13 +114,13 @@ class TableSet:
 
     @property
     def tables(self) -> list[np.ndarray]:
-        return [self.root[None, :], *self.leaves]
+        return [self.root[..., None, :], *self.leaves]
 
     @classmethod
     def from_tables(cls, spec: ModelSpec, tables):
         """Inverse of ``tables``: the first table is the one-row root."""
         root, *leaves = tables
-        return cls(spec, np.reshape(root, -1), leaves)
+        return cls(spec, np.squeeze(root, axis=-2), leaves)
 
 
 class ParamSet(TableSet):
@@ -121,7 +129,7 @@ class ParamSet(TableSet):
     def _check_values(self, values):
         if np.any(values <= 0.0) or np.any(values > 1.0):
             raise ValueError("probabilities must lie in (0, 1]")
-        sums = np.concatenate([t.sum(axis=1) for t in self.tables])
+        sums = np.concatenate([t.sum(axis=-1).ravel() for t in self.tables])
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
             raise ValueError("simplex row does not sum to 1")
 
@@ -265,11 +273,17 @@ def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
 # Likelihood machinery.
 
 def _component_log_scores(params: ParamSet, rows: np.ndarray) -> np.ndarray:
-    """(N, c) matrix of log[root_j * prod_i p(x_i | j)] per record."""
-    scores = np.log(params.root)[None, :].repeat(rows.shape[0], axis=0)
+    """log[root_j * prod_i p(x_i | j)] per record: (N, c), or (B, N, c)."""
+    scores = np.repeat(np.log(params.root)[..., None, :], rows.shape[0],
+                       axis=-2)
     for i, table in enumerate(params.leaves):
-        scores += np.log(table).T[rows[:, i]]
+        scores += np.swapaxes(np.log(table), -1, -2)[..., rows[:, i], :]
     return scores
+
+
+def _scalar(value: np.ndarray):
+    """A 0-d result as a Python float; a stack's (B,) array as it is."""
+    return float(value) if value.ndim == 0 else value
 
 
 def e_pass(params: ParamSet, data: Dataset):
@@ -277,16 +291,21 @@ def e_pass(params: ParamSet, data: Dataset):
 
     Incomplete data marginalizes the hidden root per record through
     log-sum-exp; complete data just reads off the assigned component, and
-    its posteriors are indicators.
+    its posteriors are indicators.  A stack of parameter sets gets (B,) log
+    likelihoods and (B, N, c) posteriors; every copy goes through the same
+    operations as it would alone, so its values are the same bits.
     """
     if params.spec != data.spec:
         raise ValueError("params and data describe different models")
     scores = _component_log_scores(params, data.rows)
     if data.hidden is None:
-        row_ls = logsumexp(scores, axis=1)
-        return float(row_ls.sum()), np.exp(scores - row_ls[:, None])
-    picked = scores[np.arange(data.n_samples), data.hidden]
-    return float(np.sum(picked)), np.eye(data.spec.hidden_arity)[data.hidden]
+        row_ls = row_logsumexp(scores)
+        scores -= row_ls[..., None]
+        return _scalar(row_ls.sum(axis=-1)), np.exp(scores, out=scores)
+    picked = scores[..., np.arange(data.n_samples), data.hidden]
+    indicators = np.eye(data.spec.hidden_arity)[data.hidden]
+    return (_scalar(picked.sum(axis=-1)),
+            np.broadcast_to(indicators, scores.shape).copy())
 
 
 def log_likelihood(params: ParamSet, data: Dataset) -> float:
@@ -299,7 +318,7 @@ def log_prior(params: ParamSet, prior: PriorSet) -> float:
 
     This is the density with respect to the drop-last free coordinates of
     each row, so it can be added to the log likelihood and expanded there
-    directly.
+    directly.  A stack of parameter sets gets one density per copy.
     """
     if params.spec != prior.spec:
         raise ValueError("params and prior describe different models")
@@ -308,10 +327,10 @@ def log_prior(params: ParamSet, prior: PriorSet) -> float:
         if np.any(theta <= 0.0):
             raise ValueError("prior density needs interior parameters")
         terms.append(gammaln(alpha.sum(axis=1)) - gammaln(alpha).sum(axis=1)
-                     + ((alpha - 1.0) * np.log(theta)).sum(axis=1))
+                     + ((alpha - 1.0) * np.log(theta)).sum(axis=-1))
     # cumsum adds strictly left to right, so the row terms are summed in
     # table order, row by row, with no pairwise regrouping.
-    return float(np.cumsum(np.concatenate(terms))[-1])
+    return _scalar(np.cumsum(np.concatenate(terms, axis=-1), axis=-1)[..., -1])
 
 
 def log_posterior_g(params: ParamSet, data: Dataset, prior: PriorSet) -> float:
@@ -330,19 +349,20 @@ def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:
 
     The root counts are the posterior column sums; leaf ``i``'s row ``j``
     sums state ``j``'s posterior over the records, split by their value.
-    The leaf tables sit side by side in ``R = sum(r_i)`` columns, and each
-    hidden state's row of them is one ``bincount``, which adds every cell's
-    terms in record order.  Indicator posteriors give complete-data counts.
+    Each leaf table is one ``bincount`` over the posteriors in their own
+    layout, which adds every cell's terms in record order.  A (B, N, c)
+    stack of posteriors gives a stack of counts from the same bincounts.
+    Indicator posteriors give complete-data counts.
     """
-    bounds = np.cumsum((0,) + data.spec.observed_arities)
-    cols = (data.rows + bounds[:-1]).ravel()
-    n = data.spec.n_observed
-    stacked = np.stack([
-        np.bincount(cols, weights=np.repeat(post[:, j], n),
-                    minlength=bounds[-1])
-        for j in range(post.shape[1])])
-    return StatSet(data.spec, post.sum(axis=0),
-                   np.split(stacked, bounds[1:-1], axis=1))
+    stack, c = post.shape[:-2], post.shape[-1]
+    # cell[b, 0, j] numbers row j of copy b; record t's value x adds
+    # post[b, t, j] to entry x of that row.
+    cell = np.arange(np.prod(stack, dtype=int) * c).reshape(*stack, 1, c)
+    weights = post.ravel()
+    leaves = [np.bincount((cell * r + x[:, None]).ravel(), weights=weights,
+                          minlength=cell.size * r).reshape(*stack, c, r)
+              for x, r in zip(data.rows.T, data.spec.observed_arities)]
+    return StatSet(data.spec, post.sum(axis=-2), leaves)
 
 
 def expected_counts(params: ParamSet, data: Dataset) -> StatSet:

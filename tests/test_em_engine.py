@@ -3,8 +3,10 @@ import pytest
 from scipy.special import gammaln
 
 import latentscore as ls
+from latentscore import em_engine
 from latentscore.em_engine import DegeneratePriorError, StarvedRowError
-from latentscore.model_core import clamp_rows
+from latentscore.model_core import (clamp_rows, counts_from_posteriors,
+                                    e_pass, log_prior)
 
 # Highest objective value found by a dense grid search over the five free
 # coordinates of the (n=2 binary leaves, c=2, alpha=1.01) instance built from
@@ -346,3 +348,174 @@ def test_result_metadata():
                       iterations_used=7, g_trace=[-2.0, -1.5])
     assert ls.result_metadata(res) == {
         "final_g": -1.5, "converged": True, "iterations_used": 7}
+
+
+# The per-copy EM loop and tournament that the stacked loop replaced: every
+# start runs its own E and M steps through the single-set functions, and each
+# round re-evaluates its survivors.  The stacked loop must give the same bits.
+
+def _reference_loop(params, data, prior, mode, max_iters, rel_tol):
+    def evaluate(p):
+        g, post = e_pass(p, data)
+        if mode == "map":
+            g += log_prior(p, prior)
+        return g, post
+
+    g, post = evaluate(params)
+    trace = [g]
+    for _ in range(max_iters):
+        stats = counts_from_posteriors(post, data)
+        params = (ls.m_step_map(stats, prior) if mode == "map"
+                  else ls.m_step_ml(stats))
+        g, post = evaluate(params)
+        trace.append(g)
+        prev = trace[-2]
+        change = abs(g - prev)
+        rel = change if prev == 0.0 else change / abs(prev)
+        if rel < rel_tol:
+            return params, trace, True
+    return params, trace, False
+
+
+def _reference_tournament(data, spec, prior, mode, start, rng):
+    """The winner, and per round each copy's (objective, index, params)."""
+    copies = [(idx, ls.generate_model(spec, rng.child(idx)))
+              for idx in range(start)]
+    rounds = []
+    iters = 1
+    while len(copies) > 1:
+        scored = []
+        for idx, params in copies:
+            params, trace, _ = _reference_loop(params, data, prior, mode,
+                                               iters, 0.0)
+            scored.append((trace[-1], idx, params))
+        rounds.append(scored)
+        scored = sorted(scored, key=lambda t: (-t[0], t[1]))
+        copies = [(idx, params) for _, idx, params in scored[:len(copies) // 2]]
+        iters *= 2
+    return copies[0][1], rounds
+
+
+def _assert_same_tables(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
+def _stack(sets):
+    return ls.ParamSet.from_tables(
+        sets[0].spec, [np.stack(t) for t in zip(*(s.tables for s in sets))])
+
+
+@pytest.mark.parametrize("mode", ["map", "ml"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("arities, c, n_samples, start", [
+    ((2,) * 8, 1, 400, 16),
+    ((2,) * 8, 2, 400, 16),
+    ((2,) * 8, 4, 400, 64),
+    ((2,) * 8, 8, 400, 16),
+    ((2,) * 8, 9, 400, 16),
+    ((2,) * 16, 8, 400, 8),
+    ((2,) * 32, 8, 400, 8),
+    ((2, 3, 5, 9, 12), 3, 200, 16),
+    ((2, 2, 2), 2, 20, 64),
+], ids=["n8-c1", "n8-c2", "n8-c4", "n8-c8", "n8-c9", "n16-c8", "n32-c8",
+        "mixed-c3", "n3-c2"])
+def test_stacked_em_matches_per_copy_reference(monkeypatch, arities, c,
+                                                n_samples, start, seed, mode):
+    spec = ls.ModelSpec(arities, c)
+    truth = ls.generate_model(ls.ModelSpec(arities, 3),
+                              ls.SeededStream(seed, 0))
+    drawn = ls.sample_dataset(truth, n_samples, ls.SeededStream(seed, 1))
+    data = ls.Dataset(spec, drawn.rows)
+    prior = ls.PriorSet.symmetric(spec, 1.01) if mode == "map" else None
+    config = ls.EmConfig(mode=mode, tournament_start=start)
+
+    runs = []
+    loop = em_engine._em_loop
+
+    def recorded(run, *args):
+        out = loop(run, *args)
+        runs.append((run.params, run.g))
+        return out
+
+    monkeypatch.setattr(em_engine, "_em_loop", recorded)
+    res = ls.fit(data, spec, prior, config, ls.SeededStream(seed, 2))
+
+    winner, ref_rounds = _reference_tournament(
+        data, spec, prior, mode, start, ls.SeededStream(seed, 2))
+    *rounds, polish = runs
+    assert len(rounds) == len(ref_rounds)
+    for (params, g), scored in zip(rounds, ref_rounds):
+        # survivors enter each round best first, as the reference sorts them
+        assert np.array_equal(g, [s[0] for s in scored])
+        for b, (_, _, ref_params) in enumerate(scored):
+            _assert_same_tables([t[b] for t in params.tables],
+                                ref_params.tables)
+
+    ref_params, ref_trace, ref_converged = _reference_loop(
+        winner, data, prior, mode, config.max_iters_after_init,
+        config.rel_tol)
+    assert np.array_equal(res.g_trace, ref_trace)
+    assert res.converged == ref_converged
+    _assert_same_tables(res.params.tables, ref_params.tables)
+
+
+def test_stack_with_a_degenerate_start_raises_its_error():
+    # The fourth start's first M step meets a row whose posterior count
+    # plus alpha total falls below the arity; the other three do not.
+    spec = ls.binary_spec(4, 4)
+    truth = ls.generate_model(ls.binary_spec(4, 2), ls.SeededStream(1, 5))
+    data = ls.Dataset(spec,
+                      ls.sample_dataset(truth, 8, ls.SeededStream(1, 6)).rows)
+    prior = ls.PriorSet.symmetric(spec, 0.8)
+    rng = ls.SeededStream(1, 0)
+    outcomes = []
+    for idx in range(4):
+        try:
+            _reference_loop(ls.generate_model(spec, rng.child(idx)), data,
+                            prior, "map", 1, 0.0)
+            outcomes.append(None)
+        except DegeneratePriorError:
+            outcomes.append(idx)
+    assert outcomes == [None, None, None, 3]
+    with pytest.raises(DegeneratePriorError):
+        ls.tournament_init(data, spec, prior,
+                           ls.EmConfig(tournament_start=4), rng)
+
+
+def test_stack_with_a_starved_start_raises_its_error():
+    # In the second copy, state 1 gives every observed value 1e-300, so its
+    # posterior underflows to zero on every record and its ML row starves.
+    spec = ls.binary_spec(3, 2)
+    data = ls.Dataset(spec, [[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    fine = ls.generate_model(spec, ls.SeededStream(62, 0))
+    leaf = np.array([[0.5, 0.5], [1e-300, 1.0]])
+    starved = ls.ParamSet(spec, np.array([0.5, 0.5]), [leaf] * 3)
+    with pytest.raises(StarvedRowError):
+        _reference_loop(starved, data, None, "ml", 1, 0.0)
+    _reference_loop(fine, data, None, "ml", 1, 0.0)
+
+    run = em_engine._start(_stack([fine, starved, fine]), data, None, "ml")
+    with pytest.raises(StarvedRowError):
+        em_engine._em_loop(run, data, None, "ml", 1, 0.0)
+
+
+def test_stacked_m_step_checks_every_copy():
+    spec = ls.binary_spec(2, 2)
+    prior = ls.PriorSet.symmetric(spec, 1.01)
+    good = ls.StatSet(spec, np.array([3.0, 2.0]),
+                      [np.array([[2.0, 1.0], [1.0, 1.0]])] * 2)
+    stack = ls.StatSet.from_tables(
+        spec, [np.stack([t, t]) for t in good.tables])
+    params = ls.m_step_map(stack, prior)
+    single = ls.m_step_map(good, prior)
+    for s, t in zip(params.tables, single.tables):
+        assert np.array_equal(s, np.stack([t, t]))
+    bad_prior = ls.PriorSet.symmetric(spec, 0.5)
+    starved = [t.copy() for t in stack.tables]
+    starved[1][1, 0] = 0.0
+    with pytest.raises(DegeneratePriorError):
+        ls.m_step_map(ls.StatSet.from_tables(spec, starved), bad_prior)
+    with pytest.raises(StarvedRowError):
+        ls.m_step_ml(ls.StatSet.from_tables(spec, starved))
