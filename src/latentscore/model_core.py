@@ -249,23 +249,29 @@ def params_to_free(params: ParamSet) -> np.ndarray:
 
 
 def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
-    """Rebuild a ParamSet, restoring each dropped component as the remainder."""
+    """Rebuild a ParamSet, restoring each dropped component as the remainder.
+
+    ``(d,)`` coordinates give one set; ``(B, d)`` give a stack of B sets,
+    each row rebuilt as it would be alone.
+    """
     coords = np.asarray(coords, dtype=float)
     d = dimension(spec)
-    if coords.shape != (d,):
+    if coords.ndim not in (1, 2) or coords.shape[-1] != d:
         raise ValueError(f"expected {d} free coordinates, got {coords.shape}")
     if np.any(coords <= 0.0):
         raise ValueError("free coordinates must be positive")
     c = spec.hidden_arity
+    stack = coords.shape[:-1]
     tables = []
     pos = 0
     for n_rows, r in [(1, c)] + [(c, r) for r in spec.observed_arities]:
-        free = coords[pos:pos + n_rows * (r - 1)].reshape(n_rows, r - 1)
-        pos += free.size
-        rest = 1.0 - free.sum(axis=1, keepdims=True)
+        size = n_rows * (r - 1)
+        free = coords[..., pos:pos + size].reshape(*stack, n_rows, r - 1)
+        pos += size
+        rest = 1.0 - free.sum(axis=-1, keepdims=True)
         if np.any(rest <= 0.0):
             raise ValueError("free coordinates of a row must sum below 1")
-        tables.append(np.concatenate([free, rest], axis=1))
+        tables.append(np.concatenate([free, rest], axis=-1))
     return ParamSet.from_tables(spec, tables)
 
 
@@ -382,17 +388,19 @@ def grad_g(coords: np.ndarray, data: Dataset, prior: PriorSet) -> np.ndarray:
     v_k = E[N_k] + alpha_k - 1 it is v_k / theta_k - v_last / theta_last.
     The expected counts are the posterior-weighted statistics at ``coords``
     (for complete data, the actual counts), which is the standard missing-data
-    identity for the score function.
+    identity for the score function.  ``(B, d)`` coordinates give ``(B, d)``
+    gradients, each row the same bits as a call on that point alone.
     """
     params = free_to_params(data.spec, coords)
+    stack = np.shape(coords)[:-1]
     parts = []
     for theta, counts, alpha in zip(params.tables,
                                     expected_counts(params, data).tables,
                                     prior.tables):
         v = counts + alpha - 1.0
-        parts.append(
-            (v[:, :-1] / theta[:, :-1] - v[:, -1:] / theta[:, -1:]).ravel())
-    return np.concatenate(parts)
+        parts.append((v[..., :-1] / theta[..., :-1]
+                      - v[..., -1:] / theta[..., -1:]).reshape(*stack, -1))
+    return np.concatenate(parts, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ does not, so this module provides five asymptotic approximations, all
 evaluated at the posterior mode found by EM:
 
 - ``laplace``: second-order expansion of g around the mode; needs the
-  determinant of the negative Hessian, so it costs O(d^2) gradient calls.
+  determinant of the negative Hessian, built from 2d gradient evaluations.
 - ``bic``: log likelihood at the mode minus (d/2) log N.
 - ``draper``: bic plus (d/2) log 2*pi, a constant offset per dimension.
 - ``mled``: the closed form applied to the fractional expected statistics.
@@ -54,6 +54,15 @@ MEASURES = ("laplace", "bic", "draper", "mled", "cs")
 ORACLE_CAP = 2 ** 20
 
 HESSIAN_REL_STEP = 1e-5
+
+# neg_hessian evaluates a block of 2b perturbed points as one stack, and b is
+# the widest block whose (2b, N, c) float64 posteriors fit in this many bytes
+# (the stack's other temporaries are a few times that).  A byte bound, not a
+# column count, because a column's bytes grow with N and c.  At n=32, c=8,
+# N=400 it gives 20 columns: blocks of 8 to 64 columns took about the same
+# time there, and one block of all 263 took 1.7x as long.  At the paper's
+# n=64, c=32 all 4158 points at once would hold 425 MB of posteriors.
+HESSIAN_BLOCK_BYTES = 2 ** 20
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -182,30 +191,51 @@ def oracle_exact(data: Dataset, spec: ModelSpec, prior: PriorSet,
 # ---------------------------------------------------------------------------
 # Curvature at the mode.
 
+def _step_off_simplex(points: np.ndarray, cols: np.ndarray, data: Dataset,
+                      prior: PriorSet) -> None:
+    """Name the first column of a failed block whose plus or minus point
+    fails on its own.  The per-point calls run only on this failure path."""
+    b = cols.size
+    for k, j in enumerate(cols):
+        try:
+            grad_g(points[k], data, prior)
+            grad_g(points[b + k], data, prior)
+        except ValueError as exc:
+            raise NumericalFailureError(
+                f"difference step at coordinate {j} left the simplex") from exc
+
+
 def neg_hessian(coords: np.ndarray, data: Dataset,
                 prior: PriorSet) -> np.ndarray:
     """-(d^2 g / dx^2) by central differences of the exact gradient.
 
     The step for coordinate j is HESSIAN_REL_STEP * max(1, |x_j|).  The
-    averaged matrix (J + J^T) / 2 is exactly symmetric, which log_det_pd
-    requires.
+    Jacobian is filled a block of columns at a time: one stacked ``grad_g``
+    call on the points x + h_j e_j of the block's columns, then x - h_j e_j,
+    in column order.  A block holds as many columns as keep the stack's
+    posteriors within HESSIAN_BLOCK_BYTES.  The averaged matrix
+    (J + J^T) / 2 is exactly symmetric, which log_det_pd requires.
     """
     x = np.asarray(coords, dtype=float)
     d = x.size
+    h = HESSIAN_REL_STEP * np.maximum(1.0, np.abs(x))
+    # One column's two points carry 2 * N * c float64 posteriors.
+    width = max(1, HESSIAN_BLOCK_BYTES
+                // (2 * data.n_samples * data.spec.hidden_arity * 8))
     jac = np.empty((d, d))
-    for j in range(d):
-        h = HESSIAN_REL_STEP * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] -= h
+    for start in range(0, d, width):
+        cols = np.arange(start, min(start + width, d))
+        b = cols.size
+        rows = np.arange(b)
+        points = np.tile(x, (2 * b, 1))
+        points[rows, cols] += h[cols]
+        points[rows + b, cols] -= h[cols]
         try:
-            gp = grad_g(xp, data, prior)
-            gm = grad_g(xm, data, prior)
-        except ValueError as exc:
-            raise NumericalFailureError(
-                f"difference step at coordinate {j} left the simplex") from exc
-        jac[:, j] = (gp - gm) / (2.0 * h)
+            grads = grad_g(points, data, prior)
+        except ValueError:
+            _step_off_simplex(points, cols, data, prior)
+            raise
+        jac[:, cols] = ((grads[:b] - grads[b:]) / (2.0 * h[cols, None])).T
     a = -(jac + jac.T) / 2.0
     if not np.all(np.isfinite(a)):
         raise NumericalFailureError("negative Hessian has non-finite entries")

@@ -234,6 +234,41 @@ class TestFreeCoords:
         with pytest.raises(ValueError):
             ls.free_to_params(spec3, np.array([0.7, 0.5]))
 
+    def test_stack_rebuilds_each_row_alone(self):
+        spec = ls.ModelSpec((2, 3, 5), 4)
+        points = np.stack([
+            ls.params_to_free(ls.generate_model(spec, ls.SeededStream(9, k)))
+            for k in range(5)])
+        stack = ls.free_to_params(spec, points)
+        for b, x in enumerate(points):
+            alone = ls.free_to_params(spec, x)
+            for table, one in zip(stack.tables, alone.tables):
+                assert np.array_equal(table[b], one)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    @pytest.mark.parametrize("case", ["wrong-d", "3-d", "non-positive",
+                                      "row-sum-1", "row-sum-above-1"])
+    def test_malformed_coordinates_rejected(self, case, stacked):
+        spec = ls.ModelSpec((3, 2), 2)
+        good = ls.params_to_free(ls.generate_model(spec, ls.SeededStream(5, 0)))
+        bad = good.copy()
+        if case == "wrong-d":
+            bad = bad[:-1]
+        elif case == "3-d":
+            bad = bad[None, None, :]
+        elif case == "non-positive":
+            bad[3] = 0.0
+        else:
+            # Leaf 0's first row: free coordinates at positions 1 and 2.
+            bad[1] = 0.5
+            bad[2] = 0.5 if case == "row-sum-1" else 0.7
+        if stacked:
+            # A stack of wrong-shaped sets, or one bad set among good ones.
+            bad = (np.stack([bad, bad]) if case in ("wrong-d", "3-d")
+                   else np.stack([good, bad, good]))
+        with pytest.raises(ValueError):
+            ls.free_to_params(spec, bad)
+
 
 class TestGradG:
     def test_matches_finite_differences(self):
@@ -272,6 +307,25 @@ class TestGradG:
             v = counts + alpha - 1.0
             parts.append(v[:-1] / theta[:-1] - v[-1] / theta[-1])
         assert np.array_equal(ls.grad_g(x, data, prior), np.concatenate(parts))
+
+    @pytest.mark.parametrize("spec", [
+        ls.binary_spec(8, 4),
+        ls.ModelSpec((2, 3, 5, 9, 12), 3),
+        ls.ModelSpec((2, 3, 5), 1),
+    ], ids=["binary-n8-c4", "mixed-c3", "c1"])
+    def test_stack_equals_one_point_at_a_time(self, spec):
+        prior = ls.PriorSet.symmetric(spec, 1.5)
+        model = ls.generate_model(spec, ls.SeededStream(104, 0))
+        data = ls.strip_hidden(ls.sample_dataset(model, 300, ls.SeededStream(104, 1)))
+        points = np.stack([
+            ls.params_to_free(ls.generate_model(spec, ls.SeededStream(105, k)))
+            for k in range(7)])
+        grads = ls.grad_g(points, data, prior)
+        assert grads.shape == points.shape
+        for x, row in zip(points, grads):
+            alone = ls.grad_g(x, data, prior)
+            assert alone.shape == x.shape and np.all(np.isfinite(alone))
+            assert np.array_equal(row, alone)
 
     def test_complete_data_uniform_prior_closed_form(self):
         spec = ls.binary_spec(1, 2)
