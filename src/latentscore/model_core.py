@@ -26,6 +26,7 @@ expanded or differentiated in them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import json
 
@@ -141,6 +142,14 @@ class PriorSet(TableSet):
         if np.any(values <= 0.0):
             raise ValueError("Dirichlet hyperparameters must be positive")
 
+    @cached_property
+    def log_normalizers(self) -> list[np.ndarray]:
+        """Per table, each row's log Dirichlet normalizer
+        log Gamma(sum alpha) - sum log Gamma(alpha).  Built on first use; a
+        prior is never changed after it is made."""
+        return [gammaln(alpha.sum(axis=-1)) - gammaln(alpha).sum(axis=-1)
+                for alpha in self.tables]
+
     @classmethod
     def symmetric(cls, spec: ModelSpec, alpha: float) -> "PriorSet":
         """The same hyperparameter everywhere (alpha=1: uniform prior)."""
@@ -212,6 +221,18 @@ class Dataset:
     def n_samples(self) -> int:
         return self.rows.shape[0]
 
+    @cached_property
+    def design(self) -> np.ndarray:
+        """The (N, R) float one-hot design, R = sum of the arities: leaf i's
+        value x in a record sets column r_1 + ... + r_(i-1) + x of its row.
+        Built on first use; the rows are never changed after ``__post_init__``.
+        """
+        arities = self.spec.observed_arities
+        offsets = np.cumsum((0,) + arities[:-1])
+        design = np.zeros((self.n_samples, sum(arities)))
+        np.put_along_axis(design, self.rows + offsets, 1.0, axis=1)
+        return design
+
     @property
     def is_complete(self) -> bool:
         return self.hidden is not None
@@ -279,11 +300,16 @@ def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
 # Likelihood machinery.
 
 def _component_log_scores(params: ParamSet, rows: np.ndarray) -> np.ndarray:
-    """log[root_j * prod_i p(x_i | j)] per record: (N, c), or (B, N, c)."""
+    """log[root_j * prod_i p(x_i | j)] per record: (N, c), or (B, N, c).
+
+    Each leaf's rows are gathered from a contiguous (r, c) log table; the
+    sum runs root first, then the leaves in order.
+    """
     scores = np.repeat(np.log(params.root)[..., None, :], rows.shape[0],
                        axis=-2)
     for i, table in enumerate(params.leaves):
-        scores += np.swapaxes(np.log(table), -1, -2)[..., rows[:, i], :]
+        log_t = np.ascontiguousarray(np.swapaxes(np.log(table), -1, -2))
+        scores += np.take(log_t, rows[:, i], axis=-2)
     return scores
 
 
@@ -329,11 +355,11 @@ def log_prior(params: ParamSet, prior: PriorSet) -> float:
     if params.spec != prior.spec:
         raise ValueError("params and prior describe different models")
     terms = []
-    for theta, alpha in zip(params.tables, prior.tables):
+    for theta, alpha, norm in zip(params.tables, prior.tables,
+                                  prior.log_normalizers):
         if np.any(theta <= 0.0):
             raise ValueError("prior density needs interior parameters")
-        terms.append(gammaln(alpha.sum(axis=1)) - gammaln(alpha).sum(axis=1)
-                     + ((alpha - 1.0) * np.log(theta)).sum(axis=-1))
+        terms.append(norm + ((alpha - 1.0) * np.log(theta)).sum(axis=-1))
     # cumsum adds strictly left to right, so the row terms are summed in
     # table order, row by row, with no pairwise regrouping.
     return _scalar(np.cumsum(np.concatenate(terms, axis=-1), axis=-1)[..., -1])
@@ -355,20 +381,20 @@ def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:
 
     The root counts are the posterior column sums; leaf ``i``'s row ``j``
     sums state ``j``'s posterior over the records, split by their value.
-    Each leaf table is one ``bincount`` over the posteriors in their own
-    layout, which adds every cell's terms in record order.  A (B, N, c)
-    stack of posteriors gives a stack of counts from the same bincounts.
+    All leaves come from one product with the one-hot design,
+    ``post.T @ data.design``, split at the arity offsets; a (B, N, c) stack
+    of posteriors gives a stack of counts, one product per copy.
     Indicator posteriors give complete-data counts.
+
+    The product adds each entry's terms in BLAS's order, not record order.
+    On one machine and BLAS thread count that order is fixed, so reruns
+    give the same bits; a different BLAS build or thread count may round
+    large tables differently.
     """
-    stack, c = post.shape[:-2], post.shape[-1]
-    # cell[b, 0, j] numbers row j of copy b; record t's value x adds
-    # post[b, t, j] to entry x of that row.
-    cell = np.arange(np.prod(stack, dtype=int) * c).reshape(*stack, 1, c)
-    weights = post.ravel()
-    leaves = [np.bincount((cell * r + x[:, None]).ravel(), weights=weights,
-                          minlength=cell.size * r).reshape(*stack, c, r)
-              for x, r in zip(data.rows.T, data.spec.observed_arities)]
-    return StatSet(data.spec, post.sum(axis=-2), leaves)
+    leaves = np.swapaxes(post, -1, -2) @ data.design
+    bounds = np.cumsum(data.spec.observed_arities)[:-1]
+    return StatSet(data.spec, post.sum(axis=-2),
+                   np.split(leaves, bounds, axis=-1))
 
 
 def expected_counts(params: ParamSet, data: Dataset) -> StatSet:

@@ -342,6 +342,34 @@ class TestFit:
         assert r1.g_trace == r2.g_trace
         assert np.array_equal(r1.params.root, r2.params.root)
 
+    @pytest.mark.parametrize("mode", ["map", "ml"])
+    def test_polish_starts_from_winners_e_pass(self, make_instance,
+                                               monkeypatch, mode):
+        spec, data, prior = make_instance(seed=62, n=8, c=4, n_samples=200)
+        prior = prior if mode == "map" else None
+        cfg = ls.EmConfig(mode=mode, tournament_start=8)
+        passes = []
+        e_pass_ = em_engine.e_pass
+
+        def counted(params, data):
+            passes.append(params.root.shape)
+            return e_pass_(params, data)
+
+        monkeypatch.setattr(em_engine, "e_pass", counted)
+        init = ls.tournament_init(data, spec, prior, cfg,
+                                  ls.SeededStream(63, 0))
+        apart = ls.run_em(init, data, prior, cfg)
+        n_apart = len(passes)
+        passes.clear()
+        res = ls.fit(data, spec, prior, cfg, ls.SeededStream(63, 0))
+        # The same E passes less the polish's repeat of the winner's last.
+        assert len(passes) == n_apart - 1
+        assert all(type(g) is float for g in res.g_trace)
+        assert res.g_trace == apart.g_trace
+        assert (res.final_g, res.iterations_used, res.converged) == (
+            apart.final_g, apart.iterations_used, apart.converged)
+        _assert_same_tables(res.params.tables, apart.params.tables)
+
 
 def test_result_metadata():
     res = ls.EmResult(params=None, final_g=-1.5, converged=True,

@@ -129,6 +129,32 @@ class TestLogPrior:
                           + ((alpha - 1.0) * np.log(theta)).sum())
             assert ls.log_prior(params, prior) == float(total)
 
+    @pytest.mark.parametrize("arities, c", [
+        ((2,) * 8, 4), ((2, 3, 5, 9, 12), 3), ((2, 3, 5), 1),
+    ], ids=["binary-n8-c4", "mixed-c3", "c1"])
+    def test_cached_normalizers_equal_inline_formula(self, arities, c):
+        spec = ls.ModelSpec(arities, c)
+        rng = np.random.default_rng(105)
+        prior = ls.PriorSet(
+            spec, rng.uniform(0.5, 3.0, c),
+            [rng.uniform(0.5, 3.0, (c, r)) for r in arities])
+        sets = [ls.generate_model(spec, ls.SeededStream(106, k))
+                for k in range(64)]
+        stack = ls.ParamSet.from_tables(
+            spec, [np.stack(t) for t in zip(*(s.tables for s in sets))])
+
+        def inline(params):
+            # The formula before the normalizers were cached per prior.
+            terms = [gammaln(alpha.sum(axis=1)) - gammaln(alpha).sum(axis=1)
+                     + ((alpha - 1.0) * np.log(theta)).sum(axis=-1)
+                     for theta, alpha in zip(params.tables, prior.tables)]
+            return np.cumsum(np.concatenate(terms, axis=-1), axis=-1)[..., -1]
+
+        one = ls.log_prior(sets[0], prior)
+        assert type(one) is float and one == float(inline(sets[0]))
+        assert np.array_equal(ls.log_prior(stack, prior), inline(stack))
+        assert prior.log_normalizers is prior.log_normalizers
+
 
 class TestLogPosteriorG:
     def test_uniform_prior_collapse(self, make_instance):
@@ -420,6 +446,85 @@ def test_counts_equal_per_leaf_references(spec, n_samples, complete):
     assert len(got.tables) == len(want)
     for a, b in zip(got.tables, want):
         assert np.array_equal(a, b)
+
+
+def _spec_data(arities, c, n_samples, seed):
+    spec = ls.ModelSpec(arities, c)
+    truth = ls.generate_model(ls.ModelSpec(arities, 3), ls.SeededStream(seed, 0))
+    drawn = ls.sample_dataset(truth, n_samples, ls.SeededStream(seed, 1))
+    return spec, ls.Dataset(spec, drawn.rows)
+
+
+def _stack(spec, seed, size):
+    sets = [ls.generate_model(spec, ls.SeededStream(seed, k))
+            for k in range(size)]
+    return sets, ls.ParamSet.from_tables(
+        spec, [np.stack(t) for t in zip(*(s.tables for s in sets))])
+
+
+@pytest.mark.parametrize("arities", [(2,) * 8, (2, 3, 5, 9, 12), (4,)],
+                         ids=["binary-n8", "mixed", "one-leaf"])
+def test_design_is_one_hot_at_offsets(arities):
+    spec, data = _spec_data(arities, 2, 50, 15)
+    x = data.design
+    assert x.shape == (50, sum(arities)) and x.dtype == np.float64
+    assert np.array_equal(x.sum(axis=1), np.full(50, len(arities)))
+    offsets = np.cumsum((0,) + arities[:-1])
+    want = np.zeros_like(x)
+    for t in range(50):
+        want[t, data.rows[t] + offsets] = 1.0
+    assert np.array_equal(x, want)
+    assert data.design is x
+
+
+@pytest.mark.parametrize("n, c, size", [(8, 2, 64), (8, 4, 64), (8, 8, 64),
+                                        (32, 8, 40)],
+                         ids=["n8-c2", "n8-c4", "n8-c8", "n32-c8"])
+def test_stacked_counts_equal_one_set_at_a_time(n, c, size):
+    spec, data = _spec_data((2,) * n, c, 400, 16)
+    sets, stack = _stack(spec, 17, size)
+    counts = counts_from_posteriors(e_pass(stack, data)[1], data)
+    assert counts.root.shape == (size, c)
+    for b, params in enumerate(sets):
+        alone = counts_from_posteriors(e_pass(params, data)[1], data)
+        for row, want in zip(counts.tables, alone.tables):
+            assert np.array_equal(row[b], want)
+
+
+@pytest.mark.parametrize("arities, c, stacked", [
+    ((2,) * 8, 4, False), ((2,) * 8, 4, True),
+    ((2, 3, 5, 9, 12), 3, False), ((2, 3, 5, 9, 12), 3, True),
+    ((2, 3, 5), 1, False), ((2, 3, 5), 1, True),
+], ids=["n8-c4-one", "n8-c4-stack", "mixed-one", "mixed-stack", "c1-one",
+        "c1-stack"])
+def test_component_scores_equal_strided_gather(arities, c, stacked):
+    from latentscore.model_core import _component_log_scores
+    spec, data = _spec_data(arities, c, 300, 18)
+    sets, stack = _stack(spec, 19, 16)
+    params = stack if stacked else sets[0]
+    # The gather before the log tables were made contiguous: fancy indexing
+    # into a strided view, added in the same order.
+    want = np.repeat(np.log(params.root)[..., None, :], data.n_samples,
+                     axis=-2)
+    for i, table in enumerate(params.leaves):
+        want += np.swapaxes(np.log(table), -1, -2)[..., data.rows[:, i], :]
+    assert np.array_equal(_component_log_scores(params, data.rows), want)
+
+
+@pytest.mark.parametrize("n, c, n_samples", [(32, 8, 2000), (64, 32, 400)],
+                         ids=["n32-c8-N2000", "n64-c32-N400"])
+def test_counts_near_per_leaf_reference_at_large_shapes(n, c, n_samples):
+    """At these shapes the matmul's BLAS summation order differs from
+    record order, so the counts may differ in the last bits.  Each count is
+    a sum of nonnegative terms, so any two orders agree to within
+    2 (N - 1) u relative, u = 2**-53: 4.4e-13 at N=2000."""
+    spec, data = _spec_data((2,) * n, c, n_samples, 20)
+    model = ls.generate_model(spec, ls.SeededStream(21, 0))
+    post = e_pass(model, data)[1]
+    got = counts_from_posteriors(post, data)
+    want = _add_at_counts(post, data)
+    for a, b in zip(got.tables, want):
+        assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
 
 
 def test_dataset_rejects_non_integral_states():
