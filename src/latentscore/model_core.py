@@ -13,8 +13,11 @@ container may also hold a stack of such sets, one per EM start, along a
 leading axis; the E pass, the prior density and the counts then work on
 every copy at once.
 
-All likelihoods run in the log domain; per-row mixture sums use a stable
-log-sum-exp so that products over many leaves cannot underflow.
+Records enter through one (N, R) one-hot design, ``R = sum r_i``, in both
+directions: the E pass scores every record and hidden state as
+``log root + X @ log(theta).T``, and the counts are ``post.T @ X``.  All
+likelihoods run in the log domain; each record's mixture sum is shifted by
+its largest term so that products over many leaves cannot underflow.
 
 Free coordinates drop the last component of every simplex row.  The
 Dirichlet prior density is exactly the density in these coordinates (the
@@ -32,8 +35,6 @@ import json
 
 import numpy as np
 from scipy.special import gammaln
-
-from .numerics import row_logsumexp
 
 ROW_SUM_TOL = 1e-9
 
@@ -265,8 +266,13 @@ def clamp_rows(table: np.ndarray) -> np.ndarray:
 # Free coordinates: drop the last component of every simplex row.
 
 def params_to_free(params: ParamSet) -> np.ndarray:
-    """Flatten to free coordinates: root[:-1], then each leaf row's [:-1]."""
-    return np.concatenate([t[:, :-1].ravel() for t in params.tables])
+    """Flatten to free coordinates: root[:-1], then each leaf row's [:-1].
+
+    A stack of B sets gives ``(B, d)``, the inverse of ``free_to_params``.
+    """
+    stack = params.root.shape[:-1]
+    return np.concatenate([t[..., :-1].reshape(*stack, -1)
+                           for t in params.tables], axis=-1)
 
 
 def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
@@ -299,18 +305,17 @@ def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
 # ---------------------------------------------------------------------------
 # Likelihood machinery.
 
-def _component_log_scores(params: ParamSet, rows: np.ndarray) -> np.ndarray:
+def _component_log_scores(params: ParamSet, design: np.ndarray) -> np.ndarray:
     """log[root_j * prod_i p(x_i | j)] per record: (N, c), or (B, N, c).
 
-    Each leaf's rows are gathered from a contiguous (r, c) log table; the
-    sum runs root first, then the leaves in order.
+    One product with the (N, R) one-hot design that the counts use:
+    ``log root + X @ log(theta).T``, theta being the (c, R) leaf tables side
+    by side.  A stack gets one product per copy, of the same shape as the
+    product for that copy alone.
     """
-    scores = np.repeat(np.log(params.root)[..., None, :], rows.shape[0],
-                       axis=-2)
-    for i, table in enumerate(params.leaves):
-        log_t = np.ascontiguousarray(np.swapaxes(np.log(table), -1, -2))
-        scores += np.take(log_t, rows[:, i], axis=-2)
-    return scores
+    log_theta = np.log(np.concatenate(params.leaves, axis=-1))
+    return (np.log(params.root)[..., None, :]
+            + design @ np.swapaxes(log_theta, -1, -2))
 
 
 def _scalar(value: np.ndarray):
@@ -321,19 +326,24 @@ def _scalar(value: np.ndarray):
 def e_pass(params: ParamSet, data: Dataset):
     """One pass over the data: ``(log likelihood, (N, c) posteriors)``.
 
-    Incomplete data marginalizes the hidden root per record through
-    log-sum-exp; complete data just reads off the assigned component, and
-    its posteriors are indicators.  A stack of parameter sets gets (B,) log
-    likelihoods and (B, N, c) posteriors; every copy goes through the same
-    operations as it would alone, so its values are the same bits.
+    Incomplete data marginalizes the hidden root per record: the scores
+    are shifted by the row maximum and exponentiated, the posteriors are
+    those terms over their row total, and the record's log marginal is
+    log total + max.  Complete data just reads off the assigned component,
+    and its posteriors are indicators.  A stack of parameter sets gets (B,)
+    log likelihoods and (B, N, c) posteriors, each copy the same bits as a
+    call on that copy alone.
     """
     if params.spec != data.spec:
         raise ValueError("params and data describe different models")
-    scores = _component_log_scores(params, data.rows)
+    scores = _component_log_scores(params, data.design)
     if data.hidden is None:
-        row_ls = row_logsumexp(scores)
-        scores -= row_ls[..., None]
-        return _scalar(row_ls.sum(axis=-1)), np.exp(scores, out=scores)
+        top = scores.max(axis=-1, keepdims=True)
+        scores -= top
+        np.exp(scores, out=scores)
+        total = scores.sum(axis=-1, keepdims=True)
+        scores /= total
+        return _scalar((np.log(total) + top)[..., 0].sum(axis=-1)), scores
     picked = scores[..., np.arange(data.n_samples), data.hidden]
     indicators = np.eye(data.spec.hidden_arity)[data.hidden]
     return (_scalar(picked.sum(axis=-1)),

@@ -1,5 +1,5 @@
-"""Shared numerical primitives: Dirichlet sampling on seeded streams, a row
-log-sum-exp, and positive-definite log-determinants.
+"""Shared numerical primitives: Dirichlet sampling on seeded streams and
+positive-definite log-determinants.
 
 Everything here is deterministic given its inputs; randomness enters only
 through :class:`SeededStream`, which maps a ``(master_seed, stream_index)``
@@ -88,24 +88,6 @@ def sample_dirichlet(alphas, rng: SeededStream) -> np.ndarray:
     draws = rng.generator.standard_gamma(a)
     draws = np.maximum(draws, 1e-300)
     return draws / draws.sum(axis=-1, keepdims=True)
-
-
-def row_logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) along the last axis of a finite array.
-
-    A transcription of scipy 1.17's ``logsumexp`` for finite real input, so
-    it returns the same bits: the ``k`` entries tied with the row maximum
-    are taken out of the shifted sum ``s``, and the result is
-    ``log1p(s / k) + log k + max``.
-    """
-    a_max = a.max(axis=-1, keepdims=True)
-    tied = a == a_max
-    shifted = a - a_max
-    np.exp(shifted, out=shifted)
-    np.copyto(shifted, 0.0, where=tied)
-    k = np.count_nonzero(tied, axis=-1, keepdims=True)
-    s = shifted.sum(axis=-1, keepdims=True)
-    return (np.log1p(s / k) + np.log(k) + a_max)[..., 0]
 
 
 def log_det_pd(matrix: np.ndarray) -> float:

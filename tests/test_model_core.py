@@ -229,21 +229,31 @@ class TestPosteriorOverHidden:
 
 class TestFreeCoords:
     def test_round_trip_exact(self):
-        for c in (1, 4):
-            spec = ls.ModelSpec((2, 3, 5), c)
-            model = ls.generate_model(spec, ls.SeededStream(8, 0))
+        # One set at c=1 and at c=4, then a stack of four sets at c=4.
+        spec4 = ls.ModelSpec((2, 3, 5), 4)
+        sets, stack = _stack(spec4, 8, 4)
+        models = [ls.generate_model(ls.ModelSpec((2, 3, 5), 1),
+                                    ls.SeededStream(8, 0)), sets[0], stack]
+        for model in models:
+            spec = model.spec
             coords = ls.params_to_free(model)
-            assert coords.shape == (ls.dimension(spec),)
+            assert coords.shape == (model.root.shape[:-1]
+                                    + (ls.dimension(spec),))
             back = ls.free_to_params(spec, coords)
             assert np.array_equal(ls.params_to_free(back), coords)
             # Each dropped component comes back as one minus its row's free
             # sum, which is within rounding of the original component.
-            for table, rebuilt in zip([model.root[None, :]] + model.leaves,
-                                      [back.root[None, :]] + back.leaves):
-                for row, out in zip(table, rebuilt):
+            for table, rebuilt in zip(model.tables, back.tables):
+                r = table.shape[-1]
+                for row, out in zip(table.reshape(-1, r),
+                                    rebuilt.reshape(-1, r)):
                     expected = np.append(row[:-1], 1.0 - row[:-1].sum())
                     assert np.array_equal(out, expected)
                     assert np.allclose(out, row, atol=1e-15)
+        # A stack's row b is the coordinates of set b alone.
+        for b, params in enumerate(sets):
+            assert np.array_equal(ls.params_to_free(stack)[b],
+                                  ls.params_to_free(params))
 
     def test_boundary_rejected(self):
         spec = ls.binary_spec(1, 2)
@@ -498,17 +508,72 @@ def test_stacked_counts_equal_one_set_at_a_time(n, c, size):
 ], ids=["n8-c4-one", "n8-c4-stack", "mixed-one", "mixed-stack", "c1-one",
         "c1-stack"])
 def test_component_scores_equal_strided_gather(arities, c, stacked):
+    """The design product adds the same n + 1 nonpositive terms as the
+    strided gather (log root and one log entry per leaf; the design's zeros
+    add exact zeros), in another order.  Any order of a same-sign sum is
+    within gamma_n |S| of the exact sum, gamma_n = n u / (1 - n u),
+    u = 2**-53, so the two differ by at most 2 gamma_n |want| < 2 (n+1) u
+    |want|: 2.0e-15 relative at n=8.  A stack's copies are the same bits
+    as single-set calls."""
     from latentscore.model_core import _component_log_scores
     spec, data = _spec_data(arities, c, 300, 18)
     sets, stack = _stack(spec, 19, 16)
     params = stack if stacked else sets[0]
-    # The gather before the log tables were made contiguous: fancy indexing
-    # into a strided view, added in the same order.
+    # The old gather: fancy indexing into a strided view of each log table,
+    # added root first, then the leaves in order.
     want = np.repeat(np.log(params.root)[..., None, :], data.n_samples,
                      axis=-2)
     for i, table in enumerate(params.leaves):
         want += np.swapaxes(np.log(table), -1, -2)[..., data.rows[:, i], :]
-    assert np.array_equal(_component_log_scores(params, data.rows), want)
+    got = _component_log_scores(params, data.design)
+    assert got.shape == want.shape
+    bound = 2 * (len(arities) + 1) * 2.0**-53
+    assert np.all(np.abs(got - want) <= bound * np.abs(want))
+    if stacked:
+        for b, one in enumerate(sets):
+            assert np.array_equal(got[b],
+                                  _component_log_scores(one, data.design))
+
+
+@pytest.mark.parametrize("c", [2, 5, 8])
+def test_tied_states_split_evenly(c):
+    # Every state has the same root weight and leaf tables, so each
+    # record's scores tie across the row and its posterior is 1/c.
+    spec, data = _spec_data((2, 3, 5, 9, 12), c, 200, 22)
+    one = ls.generate_model(ls.ModelSpec(spec.observed_arities, 1),
+                            ls.SeededStream(23, 0))
+    tied = ls.ParamSet(spec, np.full(c, 1.0 / c),
+                       [np.repeat(t, c, axis=0) for t in one.leaves])
+    ll, post = e_pass(tied, data)
+    assert np.all(np.abs(post - 1.0 / c) <= 1e-12)
+    assert ll == pytest.approx(
+        ls.log_likelihood(one, ls.Dataset(one.spec, data.rows)), rel=1e-12)
+
+
+def test_e_pass_survives_joints_below_exp_minus_745():
+    """Leaf entries at PARAM_FLOOR make every record's joint underflow when
+    exponentiated directly; the shifted sum still gives finite posteriors
+    and the log likelihood that scipy's logsumexp gives."""
+    from scipy.special import logsumexp
+    floor = ls.model_core.PARAM_FLOOR
+    n, c = 64, 3
+    spec = ls.binary_spec(n, c)
+    # State j puts (j + 1) * PARAM_FLOOR on value 0 of every leaf.
+    leaves = [np.array([[(j + 1) * floor, 1.0 - (j + 1) * floor]
+                        for j in range(c)])] * n
+    params = ls.ParamSet(spec, np.array([0.2, 0.3, 0.5]), leaves)
+    gen = np.random.default_rng(24)
+    rows = (gen.random((40, n)) < 0.1).astype(int)
+    data = ls.Dataset(spec, rows)
+    ref = np.log(params.root) + sum(
+        np.log(t.T)[rows[:, i]] for i, t in enumerate(params.leaves))
+    assert np.all(ref < -745.0)
+    assert np.all(np.exp(ref).sum(axis=-1) == 0.0)
+    ll, post = e_pass(params, data)
+    assert np.all(np.isfinite(post))
+    assert np.allclose(post.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    want = float(logsumexp(ref, axis=-1).sum())
+    assert abs(ll - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("n, c, n_samples", [(32, 8, 2000), (64, 32, 400)],

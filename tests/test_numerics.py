@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from latentscore import (
     NotPositiveDefiniteError,
@@ -10,7 +9,6 @@ from latentscore import (
     log_det_pd,
     sample_dirichlet,
 )
-from latentscore.numerics import row_logsumexp
 
 
 class TestSampleDirichlet:
@@ -95,23 +93,3 @@ class TestSeededStream:
     def test_child_index_validation(self):
         with pytest.raises(ValueError):
             SeededStream(0, 0).child(-1)
-
-
-class TestRowLogsumexp:
-    @pytest.mark.parametrize("shape", [(400, 8), (20, 2), (64, 30, 4),
-                                       (50, 1), (1, 6), (1, 1)],
-                             ids=["n400-c8", "n20-c2", "stack", "c1", "n1",
-                                  "n1-c1"])
-    def test_matches_scipy_bit_for_bit(self, shape):
-        gen = np.random.default_rng(17)
-        for _ in range(20):
-            a = gen.normal(scale=30.0, size=shape)
-            # whole numbers tie often, also with the row maximum
-            ties = np.round(gen.normal(scale=2.0, size=shape))
-            for arr in (a, ties, np.where(gen.random(shape) < 0.5, a, ties)):
-                assert np.array_equal(row_logsumexp(arr),
-                                      logsumexp(arr, axis=-1))
-
-    def test_every_entry_tied(self):
-        a = np.full((3, 5), -7.25)
-        assert np.array_equal(row_logsumexp(a), logsumexp(a, axis=-1))
