@@ -18,8 +18,8 @@ The one EM loop runs on a stack of parameter sets (see ``TableSet``): a
 round is one stacked EM run over the surviving copies, which carry their
 objective and posteriors into the next round.  Each copy goes through the
 same operations as it would alone, so stacking changes no value.
-``run_em`` runs the same loop on a single set; ``fit`` continues it from
-the winner's run, whose last E pass the final round already made.
+``run_em`` runs the same loop on a single set, and ``fit`` is
+``tournament_init`` followed by ``run_em`` from the winner.
 """
 
 from __future__ import annotations
@@ -218,12 +218,7 @@ def run_em(init: ParamSet, data: Dataset, prior: PriorSet | None,
     _check_fit_inputs(data, prior, config)
     if init.spec != data.spec:
         raise ValueError("initial parameters and data describe different models")
-    return _polish(_start(init, data, prior, config.mode), data, prior, config)
-
-
-def _polish(run: _Run, data: Dataset, prior: PriorSet | None,
-            config: EmConfig) -> EmResult:
-    """``run_em``'s loop from a single set whose E pass ``run`` holds."""
+    run = _start(init, data, prior, config.mode)
     trace, converged = _em_loop(run, data, prior, config.mode,
                                 config.max_iters_after_init, config.rel_tol)
     return EmResult(params=run.params, final_g=trace[-1], converged=converged,
@@ -241,14 +236,6 @@ def tournament_init(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
     surviving copies.
     """
     data = align_hidden_arity(spec, data)
-    return _tournament(data, spec, prior, config, rng).params
-
-
-def _tournament(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
-                config: EmConfig, rng: SeededStream) -> _Run:
-    """``tournament_init`` on aligned data, returning the winner's run: its
-    parameters as a single set, with the objective and posteriors of its
-    last E pass, from which the polish goes on."""
     _check_fit_inputs(data, prior, config)
     starts = [generate_model(spec, rng.child(idx))
               for idx in range(config.tournament_start)]
@@ -266,22 +253,20 @@ def _tournament(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
             spec, [t[keep] for t in run.params.tables]),
             run.g[keep], run.post[keep])
         iters *= 2
-    return _Run(ParamSet.from_tables(spec, [t[0] for t in run.params.tables]),
-                float(run.g[0]), run.post[0])
+    return ParamSet.from_tables(spec, [t[0] for t in run.params.tables])
 
 
 def fit(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
         config: EmConfig | None = None,
         rng: SeededStream | None = None) -> EmResult:
-    """Tournament initialization followed by the full EM loop, which starts
-    from the winner's last E pass rather than repeating it."""
+    """Tournament initialization followed by the full EM loop."""
     if config is None:
         config = EmConfig()
     if rng is None:
         raise ValueError("fit needs a SeededStream for the restarts")
     data = align_hidden_arity(spec, data)
-    return _polish(_tournament(data, spec, prior, config, rng), data, prior,
-                   config)
+    return run_em(tournament_init(data, spec, prior, config, rng), data, prior,
+                  config)
 
 
 def result_metadata(result: EmResult) -> dict:

@@ -44,7 +44,7 @@ from .model_core import (
     params_from_json_dict,
 )
 from .numerics import NumericalFailureError, SeededStream
-from .scoring import MEASURES, score_report
+from .scoring import MEASURES, check_measures, score_report
 from .synth_data import generate_model, sample_dataset, strip_hidden
 
 log = logging.getLogger(__name__)
@@ -94,10 +94,7 @@ class ExperimentConfig:
             raise ValueError("epsilon must be positive")
         if not self.measures:
             raise ValueError("measures must be non-empty")
-        allowed = set(MEASURES) | {"oracle"}
-        bad = [m for m in self.measures if m not in allowed]
-        if bad:
-            raise ValueError(f"unknown measures: {bad}")
+        check_measures(self.measures)
 
     @property
     def test_arities(self) -> tuple[int, ...]:
@@ -202,15 +199,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
 def select_model(curve: dict[int, float]) -> int:
     """Test arity whose score is highest; ties go to the smallest arity."""
-    best_c = None
-    best = None
-    for tc in sorted(curve):
-        v = curve[tc]
-        if best is None or v > best:
-            best, best_c = v, tc
-    if best_c is None:
+    if not curve:
         raise SelectionError("no valid cells to select from")
-    return best_c
+    return max(sorted(curve), key=curve.__getitem__)
 
 
 def delta_c(selections: dict[str, int]) -> dict[str, int]:
@@ -226,10 +217,8 @@ def replicate_selections(result: SweepResult, replicate: int) -> dict[str, int]:
     selections = {}
     for measure in result.config.measures:
         curve = result.measure_curve(replicate, measure)
-        try:
+        if curve:
             selections[measure] = select_model(curve)
-        except SelectionError:
-            continue
     return selections
 
 

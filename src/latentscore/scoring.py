@@ -71,6 +71,14 @@ class EnumerationInfeasibleError(RuntimeError):
     """Exact enumeration would exceed the cap on groups of completions."""
 
 
+def check_measures(measures) -> None:
+    """Raise ValueError naming every entry that is neither one of MEASURES
+    nor "oracle"."""
+    bad = [m for m in measures if m not in MEASURES and m != "oracle"]
+    if bad:
+        raise ValueError(f"unknown measures: {bad}")
+
+
 def _params_of(mode) -> ParamSet:
     """Measure entry points take an EmResult or a bare ParamSet."""
     return mode.params if isinstance(mode, EmResult) else mode
@@ -245,13 +253,6 @@ def neg_hessian(coords: np.ndarray, data: Dataset,
 # ---------------------------------------------------------------------------
 # The five measures.
 
-def _laplace(g: float, params: ParamSet, data: Dataset,
-             prior: PriorSet) -> float:
-    coords = params_to_free(params)
-    a = neg_hessian(coords, data, prior)
-    return g + 0.5 * coords.size * LOG_2PI - 0.5 * log_det_pd(a)
-
-
 def laplace_score(em, data: Dataset, prior: PriorSet) -> float:
     """g at the mode + (d/2) log 2*pi - half the log determinant of -H.
 
@@ -260,7 +261,10 @@ def laplace_score(em, data: Dataset, prior: PriorSet) -> float:
     (the mode sits on a ridge or a boundary).
     """
     params = _params_of(em)
-    return _laplace(log_posterior_g(params, data, prior), params, data, prior)
+    g = log_posterior_g(params, data, prior)
+    coords = params_to_free(params)
+    a = neg_hessian(coords, data, prior)
+    return g + 0.5 * coords.size * LOG_2PI - 0.5 * log_det_pd(a)
 
 
 def bic_score(loglik_at_mode: float, d: int, n_samples: int) -> float:
@@ -328,7 +332,14 @@ class ScoreReport:
 
 def score_report(em, data: Dataset, prior: PriorSet,
                  measures=MEASURES) -> ScoreReport:
-    """Evaluate the requested measures at one mode, sharing one E pass.
+    """Evaluate the requested measures at one mode.
+
+    bic, draper, mled and cs share one E pass: its log likelihood, and the
+    expected counts its posteriors give.  mled and cs are computed from
+    those here rather than through ``mled_score`` and ``cs_score``, each of
+    which makes its own E pass.  laplace is ``laplace_score``, whose own
+    E pass is small beside its 2d gradient evaluations; the oracle does not
+    use the mode.
 
     ``measures`` may include "oracle" in addition to the approximations.
     Complete data (with the hidden column) raises ValueError up front.
@@ -337,10 +348,7 @@ def score_report(em, data: Dataset, prior: PriorSet,
     """
     params = _params_of(em)
     measures = tuple(measures)
-    allowed = set(MEASURES) | {"oracle"}
-    bad = [m for m in measures if m not in allowed]
-    if bad:
-        raise ValueError(f"unknown measures: {bad}")
+    check_measures(measures)
 
     if data.is_complete:
         raise ValueError("score_report expects incomplete data; score a "
@@ -366,7 +374,7 @@ def score_report(em, data: Dataset, prior: PriorSet,
             elif name == "cs":
                 val = _cs(mled, params, stats, ll)
             elif name == "laplace":
-                val = _laplace(g, params, data, prior)
+                val = laplace_score(params, data, prior)
             else:
                 val = oracle_exact(data, data.spec, prior)
         except (NotPositiveDefiniteError, NumericalFailureError,

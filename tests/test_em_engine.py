@@ -343,32 +343,37 @@ class TestFit:
         assert np.array_equal(r1.params.root, r2.params.root)
 
     @pytest.mark.parametrize("mode", ["map", "ml"])
-    def test_polish_starts_from_winners_e_pass(self, make_instance,
-                                               monkeypatch, mode):
+    def test_fit_is_tournament_then_run_em(self, make_instance, mode):
         spec, data, prior = make_instance(seed=62, n=8, c=4, n_samples=200)
         prior = prior if mode == "map" else None
         cfg = ls.EmConfig(mode=mode, tournament_start=8)
-        passes = []
-        e_pass_ = em_engine.e_pass
-
-        def counted(params, data):
-            passes.append(params.root.shape)
-            return e_pass_(params, data)
-
-        monkeypatch.setattr(em_engine, "e_pass", counted)
         init = ls.tournament_init(data, spec, prior, cfg,
                                   ls.SeededStream(63, 0))
         apart = ls.run_em(init, data, prior, cfg)
-        n_apart = len(passes)
-        passes.clear()
         res = ls.fit(data, spec, prior, cfg, ls.SeededStream(63, 0))
-        # The same E passes less the polish's repeat of the winner's last.
-        assert len(passes) == n_apart - 1
         assert all(type(g) is float for g in res.g_trace)
         assert res.g_trace == apart.g_trace
         assert (res.final_g, res.iterations_used, res.converged) == (
             apart.final_g, apart.iterations_used, apart.converged)
         _assert_same_tables(res.params.tables, apart.params.tables)
+
+    def test_fit_calls_each_phase_once(self, make_instance, monkeypatch):
+        spec, data, prior = make_instance(seed=64, n=3, c=2, n_samples=20)
+        calls = []
+
+        def counted(name):
+            inner = getattr(em_engine, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in ("tournament_init", "run_em"):
+            monkeypatch.setattr(em_engine, name, counted(name))
+        ls.fit(data, spec, prior, ls.EmConfig(tournament_start=4),
+               ls.SeededStream(65, 0))
+        assert calls == ["tournament_init", "run_em"]
 
 
 def test_result_metadata():

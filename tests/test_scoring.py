@@ -569,3 +569,32 @@ class TestScoreReport:
         assert "laplace" in report.failures
         for name in ("bic", "draper", "mled", "cs"):
             assert name in report.scores
+
+    def test_laplace_goes_through_laplace_score(self, make_instance,
+                                                monkeypatch):
+        import latentscore.scoring as scoring
+        spec, data, prior, em = self._fitted(make_instance, seed=94)
+        expected = ls.laplace_score(em, data, prior)
+        row = np.array([[0.3, 0.7]] * 2)
+        ridge = ls.ParamSet(spec, np.array([0.5, 0.5]),
+                            [row.copy() for _ in spec.observed_arities])
+        calls = []
+        laplace = scoring.laplace_score
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return laplace(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "laplace_score", counted)
+        report = ls.score_report(em, data, prior)
+        assert len(calls) == 1
+        assert report.scores["laplace"] == expected
+        calls.clear()
+        ls.score_report(em, data, prior, measures=("bic", "draper", "mled",
+                                                   "cs", "oracle"))
+        assert calls == []
+        report = ls.score_report(ridge, data, prior, measures=("laplace",))
+        assert len(calls) == 1
+        assert report.failures == {
+            "laplace": "NotPositiveDefiniteError: matrix is not positive "
+                       "definite"}
