@@ -29,13 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model_core import (
+    PARAM_FLOOR,
     Dataset,
     ModelSpec,
     ParamSet,
     PriorSet,
     StatSet,
     align_hidden_arity,
-    clamp_rows,
     counts_from_posteriors,
     e_pass,
     expected_counts,
@@ -97,37 +97,34 @@ def e_step(params: ParamSet, data: Dataset) -> StatSet:
     return expected_counts(params, data)
 
 
-# Both row updates take a table of counts or a stack of them (B, rows, r).
+# Both M steps update every row of a set, or of a stack of sets, at once;
+# the result is ``clamp_rows`` applied row by row to the packed values.
 
-def _map_rows(counts: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    r = counts.shape[-1]
-    denom = counts.sum(axis=-1) + alphas.sum(axis=-1) - r
-    if np.any(denom <= 0.0):
-        raise DegeneratePriorError(
-            "posterior-mode update undefined: row count + alpha total <= arity")
-    return clamp_rows((counts + alphas - 1.0) / denom[..., None])
-
-
-def _ml_rows(counts: np.ndarray) -> np.ndarray:
-    denom = counts.sum(axis=-1)
-    if np.any(denom <= 0.0):
-        raise StarvedRowError("a row has zero expected count; its maximum-"
-                              "likelihood update is undefined")
-    return clamp_rows(counts / denom[..., None])
-
+def _clamped(spec: ModelSpec, values: np.ndarray) -> ParamSet:
+    return ParamSet.from_values(spec, spec.layout.rows.normalize(
+        np.clip(values, PARAM_FLOOR, 1.0 - PARAM_FLOOR)))
 
 def m_step_map(stats: StatSet, prior: PriorSet) -> ParamSet:
     """Row-wise posterior mode: (counts + alpha - 1) / (total + alpha0 - r)."""
     if stats.spec != prior.spec:
         raise ValueError("statistics and prior describe different models")
-    return ParamSet.from_tables(stats.spec, [
-        _map_rows(c, a) for c, a in zip(stats.tables, prior.tables)])
+    rows = stats.spec.layout.rows
+    denom = rows.sum(stats.values) + rows.sum(prior.values) - rows.lengths
+    if np.any(denom <= 0.0):
+        raise DegeneratePriorError(
+            "posterior-mode update undefined: row count + alpha total <= arity")
+    return _clamped(stats.spec, (stats.values + prior.values - 1.0)
+                    / rows.expand(denom))
 
 
 def m_step_ml(stats: StatSet) -> ParamSet:
     """Row-wise relative frequencies of the expected counts."""
-    return ParamSet.from_tables(stats.spec,
-                                [_ml_rows(c) for c in stats.tables])
+    rows = stats.spec.layout.rows
+    denom = rows.sum(stats.values)
+    if np.any(denom <= 0.0):
+        raise StarvedRowError("a row has zero expected count; its maximum-"
+                              "likelihood update is undefined")
+    return _clamped(stats.spec, stats.values / rows.expand(denom))
 
 
 def _evaluate(params: ParamSet, data: Dataset, prior: PriorSet | None,
@@ -237,11 +234,9 @@ def tournament_init(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
     """
     data = align_hidden_arity(spec, data)
     _check_fit_inputs(data, prior, config)
-    starts = [generate_model(spec, rng.child(idx))
-              for idx in range(config.tournament_start)]
-    run = _start(ParamSet.from_tables(
-        spec, [np.stack(t) for t in zip(*(s.tables for s in starts))]),
-        data, prior, config.mode)
+    starts = np.stack([generate_model(spec, rng.child(idx)).values
+                       for idx in range(config.tournament_start)])
+    run = _start(ParamSet.from_values(spec, starts), data, prior, config.mode)
     idx = np.arange(config.tournament_start)
     iters = 1
     while idx.size > 1:
@@ -249,11 +244,10 @@ def tournament_init(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
         # Best objective first; a tie goes to the lower start index.
         keep = np.lexsort((idx, -run.g))[:idx.size // 2]
         idx = idx[keep]
-        run = _Run(ParamSet.from_tables(
-            spec, [t[keep] for t in run.params.tables]),
-            run.g[keep], run.post[keep])
+        run = _Run(ParamSet.from_values(spec, run.params.values[keep]),
+                   run.g[keep], run.post[keep])
         iters *= 2
-    return ParamSet.from_tables(spec, [t[0] for t in run.params.tables])
+    return ParamSet.from_values(spec, run.params.values[0])
 
 
 def fit(data: Dataset, spec: ModelSpec, prior: PriorSet | None,

@@ -7,11 +7,13 @@ conditional probability tables whose rows are simplices: the root
 distribution (one row of length ``c``) and, per leaf ``i``, a ``c x r_i``
 table.  Priors are independent Dirichlets of the same shape, and the
 sufficient statistics are counts of the same shape.  All three containers
-(``ParamSet``, ``PriorSet``, ``StatSet``) share ``TableSet``'s layout: their
-``tables`` list the root as a one-row table followed by the leaf tables.  A
-container may also hold a stack of such sets, one per EM start, along a
-leading axis; the E pass, the prior density and the counts then work on
-every copy at once.
+(``ParamSet``, ``PriorSet``, ``StatSet``) hold one packed array of
+``P = c + c R`` entries, the root row and then each leaf's rows, with
+``root``, ``leaves`` and ``tables`` as views.  Every table operation is
+elementwise arithmetic on it plus per-row sums from the spec's cached
+``Layout``, whose ``Segments`` sum each row with the bits of a row of its
+own.  A container may also hold a stack of such sets, one per EM start,
+along a leading axis; every operation then works on all copies at once.
 
 Records enter through one (N, R) one-hot design, ``R = sum r_i``, in both
 directions: the E pass scores every record and hidden state as
@@ -65,6 +67,73 @@ class ModelSpec:
     def n_observed(self) -> int:
         return len(self.observed_arities)
 
+    @cached_property
+    def layout(self) -> "Layout":
+        """The packed layout, built on first use; a spec never changes."""
+        return Layout(self)
+
+
+class Segments:
+    """Consecutive segments of a packed last axis, e.g. a TableSet's rows.
+
+    ``sum`` gives each segment the bits of ``.sum(axis=-1)`` on it as a row
+    of its own array: the segments of one length are reshaped to
+    ``(..., k, length)`` and summed on a unit-stride axis, sliced when they
+    lie side by side and gathered by a contiguous ``np.take`` otherwise.
+    """
+
+    def __init__(self, lengths):
+        self.lengths = lengths = np.asarray(lengths)
+        starts = np.cumsum(lengths) - lengths
+        self._groups = []
+        for r in np.unique(lengths[lengths > 0]):
+            segs = np.flatnonzero(lengths == r)
+            cols = (starts[segs, None] + np.arange(r)).ravel()
+            if segs[-1] - segs[0] + 1 == segs.size:
+                segs, cols = (slice(segs[0], segs[-1] + 1),
+                              slice(cols[0], cols[-1] + 1))
+            self._groups.append((segs, cols, r))
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        values = np.ascontiguousarray(values)
+        stack = values.shape[:-1]
+        out = np.zeros(stack + self.lengths.shape)
+        for segs, cols, r in self._groups:
+            part = (values[..., cols] if isinstance(cols, slice)
+                    else np.take(values, cols, axis=-1))
+            out[..., segs] = part.reshape(stack + (-1, r)).sum(axis=-1)
+        return out
+
+    def expand(self, per_segment: np.ndarray) -> np.ndarray:
+        return np.repeat(per_segment, self.lengths, axis=-1)
+
+    def normalize(self, values: np.ndarray) -> np.ndarray:
+        return values / self.expand(self.sum(values))
+
+
+class Layout:
+    """A spec's packed entries: the root row, then leaf ``i``'s ``c`` rows.
+
+    ``rows`` and ``tables`` segment the entries, ``table_rows`` the rows and
+    ``free_rows`` the free coordinates.  ``free`` and ``last`` index the
+    free entries and each row's last one; ``block`` gathers the ``(c, R)``
+    leaf tables side by side, in the design's column order.
+    """
+
+    def __init__(self, spec: ModelSpec):
+        c, arities = spec.hidden_arity, np.array(spec.observed_arities)
+        lengths = np.concatenate(([c], np.repeat(arities, c)))
+        self.size = int(lengths.sum())
+        self.rows, self.free_rows = Segments(lengths), Segments(lengths - 1)
+        self.tables = Segments(np.concatenate(([c], c * arities)))
+        self.table_rows = Segments([1] + [c] * arities.size)
+        self.last = np.cumsum(lengths) - 1
+        self.free = np.delete(np.arange(self.size), self.last)
+        leaf = np.repeat(np.arange(arities.size), arities)
+        before = (np.cumsum(arities) - arities)[leaf]
+        self.block = (c + (c - 1) * before + np.arange(leaf.size)
+                      + np.arange(c)[:, None] * arities[leaf])
+
 
 def binary_spec(n_observed: int, hidden_arity: int) -> ModelSpec:
     """Spec with ``n_observed`` binary leaves (the usual experimental shape)."""
@@ -73,56 +142,75 @@ def binary_spec(n_observed: int, hidden_arity: int) -> ModelSpec:
 
 def dimension(spec: ModelSpec) -> int:
     """Number of free parameters: (c - 1) + sum_i c * (r_i - 1)."""
-    c = spec.hidden_arity
-    return (c - 1) + sum(c * (r - 1) for r in spec.observed_arities)
+    return spec.layout.free.size
 
 
-@dataclass
 class TableSet:
-    """A root row plus one ``c x r_i`` table per leaf, stored as floats.
+    """A root row plus one ``c x r_i`` table per leaf, packed in one array.
 
-    ``tables`` lists the root as a one-row table followed by the leaves, so
-    code that treats every table alike zips ``tables`` of its operands.
-    A stack of B sets puts one leading axis of length B on every array: the
-    root is ``(B, c)``, its table ``(B, 1, c)`` and leaf ``i`` ``(B, c, r_i)``.
+    ``values`` is ``(P,)``, or ``(B, P)`` for a stack of B sets, in the
+    spec's ``Layout``; ``root``, ``leaves`` and ``tables`` (the root as a
+    one-row table, then the leaves) are views into it.  A stack's root is
+    ``(B, c)``, its table ``(B, 1, c)`` and leaf ``i`` ``(B, c, r_i)``.
     Subclasses add a value rule through ``_check_values``.
     """
 
-    spec: ModelSpec
-    root: np.ndarray
-    leaves: list[np.ndarray]
-
-    def __post_init__(self):
-        self.root = np.asarray(self.root, dtype=float)
-        self.leaves = [np.asarray(t, dtype=float) for t in self.leaves]
-        kind = type(self).__name__
-        c = self.spec.hidden_arity
-        stack = self.root.shape[:-1][:1]
-        if self.root.shape != stack + (c,):
-            raise ValueError(f"{kind} root has shape {self.root.shape}, "
+    def __init__(self, spec: ModelSpec, root, leaves):
+        root = np.asarray(root, dtype=float)
+        leaves = [np.asarray(t, dtype=float) for t in leaves]
+        kind, c = type(self).__name__, spec.hidden_arity
+        stack = root.shape[:-1][:1]
+        if root.shape != stack + (c,):
+            raise ValueError(f"{kind} root has shape {root.shape}, "
                              f"expected {stack + (c,)}")
-        if len(self.leaves) != self.spec.n_observed:
-            raise ValueError(f"{kind} has {len(self.leaves)} leaf tables, "
-                             f"expected {self.spec.n_observed}")
-        for i, (table, r) in enumerate(zip(self.leaves,
-                                           self.spec.observed_arities)):
+        if len(leaves) != spec.n_observed:
+            raise ValueError(f"{kind} has {len(leaves)} leaf tables, "
+                             f"expected {spec.n_observed}")
+        for i, (table, r) in enumerate(zip(leaves, spec.observed_arities)):
             if table.shape != stack + (c, r):
                 raise ValueError(f"{kind} leaf table {i} has shape "
                                  f"{table.shape}, expected {stack + (c, r)}")
-        self._check_values(np.concatenate([t.ravel() for t in self.tables]))
+        self._wrap(spec, np.concatenate(
+            [root, *(t.reshape(stack + (-1,)) for t in leaves)], axis=-1))
 
-    def _check_values(self, values: np.ndarray) -> None:
-        """Validate every entry; ``values`` holds all tables flattened."""
+    @classmethod
+    def from_values(cls, spec: ModelSpec, values):
+        """Wrap packed values, without a copy if already C-contiguous."""
+        obj = cls.__new__(cls)
+        obj._wrap(spec, np.ascontiguousarray(values, dtype=float))
+        return obj
 
-    @property
-    def tables(self) -> list[np.ndarray]:
-        return [self.root[..., None, :], *self.leaves]
+    def _wrap(self, spec: ModelSpec, values: np.ndarray) -> None:
+        if values.ndim not in (1, 2) or values.shape[-1] != spec.layout.size:
+            raise ValueError(f"{type(self).__name__} values have shape "
+                             f"{values.shape}, expected (P,) or (B, P), "
+                             f"P = {spec.layout.size}")
+        self.spec, self.values = spec, values
+        self._check_values(values)
 
     @classmethod
     def from_tables(cls, spec: ModelSpec, tables):
         """Inverse of ``tables``: the first table is the one-row root."""
         root, *leaves = tables
         return cls(spec, np.squeeze(root, axis=-2), leaves)
+
+    def _check_values(self, values: np.ndarray) -> None:
+        """Validate every entry of the packed values."""
+
+    @property
+    def root(self) -> np.ndarray:
+        return self.values[..., :self.spec.hidden_arity]
+
+    @property
+    def leaves(self) -> list[np.ndarray]:
+        return self.tables[1:]
+
+    @property
+    def tables(self) -> list[np.ndarray]:
+        bounds = np.cumsum(self.spec.layout.tables.lengths[:-1])
+        arities = (self.spec.hidden_arity, *self.spec.observed_arities)
+        return [t.reshape(t.shape[:-1] + (-1, r)) for t, r in
+                zip(np.split(self.values, bounds, axis=-1), arities)]
 
 
 class ParamSet(TableSet):
@@ -131,7 +219,7 @@ class ParamSet(TableSet):
     def _check_values(self, values):
         if np.any(values <= 0.0) or np.any(values > 1.0):
             raise ValueError("probabilities must lie in (0, 1]")
-        sums = np.concatenate([t.sum(axis=-1).ravel() for t in self.tables])
+        sums = self.spec.layout.rows.sum(values)
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
             raise ValueError("simplex row does not sum to 1")
 
@@ -144,22 +232,16 @@ class PriorSet(TableSet):
             raise ValueError("Dirichlet hyperparameters must be positive")
 
     @cached_property
-    def log_normalizers(self) -> list[np.ndarray]:
-        """Per table, each row's log Dirichlet normalizer
-        log Gamma(sum alpha) - sum log Gamma(alpha).  Built on first use; a
-        prior is never changed after it is made."""
-        return [gammaln(alpha.sum(axis=-1)) - gammaln(alpha).sum(axis=-1)
-                for alpha in self.tables]
+    def log_normalizers(self) -> np.ndarray:
+        """Each row's log Gamma(sum alpha) - sum log Gamma(alpha), in row
+        order.  Built on first use; a prior never changes after it is made."""
+        rows = self.spec.layout.rows
+        return gammaln(rows.sum(self.values)) - rows.sum(gammaln(self.values))
 
     @classmethod
     def symmetric(cls, spec: ModelSpec, alpha: float) -> "PriorSet":
         """The same hyperparameter everywhere (alpha=1: uniform prior)."""
-        c = spec.hidden_arity
-        return cls(
-            spec,
-            np.full(c, alpha),
-            [np.full((c, r), alpha) for r in spec.observed_arities],
-        )
+        return cls.from_values(spec, np.full(spec.layout.size, float(alpha)))
 
 
 class StatSet(TableSet):
@@ -176,13 +258,7 @@ class StatSet(TableSet):
 
     @property
     def is_integral(self) -> bool:
-        return all(np.array_equal(t, np.round(t)) for t in self.tables)
-
-    def __add__(self, other: "StatSet") -> "StatSet":
-        if self.spec != other.spec:
-            raise ValueError("cannot add statistics for different models")
-        return StatSet.from_tables(
-            self.spec, [a + b for a, b in zip(self.tables, other.tables)])
+        return np.array_equal(self.values, np.round(self.values))
 
 
 def _states(values) -> np.ndarray:
@@ -270,9 +346,7 @@ def params_to_free(params: ParamSet) -> np.ndarray:
 
     A stack of B sets gives ``(B, d)``, the inverse of ``free_to_params``.
     """
-    stack = params.root.shape[:-1]
-    return np.concatenate([t[..., :-1].reshape(*stack, -1)
-                           for t in params.tables], axis=-1)
+    return np.take(params.values, params.spec.layout.free, axis=-1)
 
 
 def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
@@ -287,19 +361,14 @@ def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
         raise ValueError(f"expected {d} free coordinates, got {coords.shape}")
     if np.any(coords <= 0.0):
         raise ValueError("free coordinates must be positive")
-    c = spec.hidden_arity
-    stack = coords.shape[:-1]
-    tables = []
-    pos = 0
-    for n_rows, r in [(1, c)] + [(c, r) for r in spec.observed_arities]:
-        size = n_rows * (r - 1)
-        free = coords[..., pos:pos + size].reshape(*stack, n_rows, r - 1)
-        pos += size
-        rest = 1.0 - free.sum(axis=-1, keepdims=True)
-        if np.any(rest <= 0.0):
-            raise ValueError("free coordinates of a row must sum below 1")
-        tables.append(np.concatenate([free, rest], axis=-1))
-    return ParamSet.from_tables(spec, tables)
+    layout = spec.layout
+    rest = 1.0 - layout.free_rows.sum(coords)
+    if np.any(rest <= 0.0):
+        raise ValueError("free coordinates of a row must sum below 1")
+    values = np.empty(coords.shape[:-1] + (layout.size,))
+    values[..., layout.free] = coords
+    values[..., layout.last] = rest
+    return ParamSet.from_values(spec, values)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +382,8 @@ def _component_log_scores(params: ParamSet, design: np.ndarray) -> np.ndarray:
     by side.  A stack gets one product per copy, of the same shape as the
     product for that copy alone.
     """
-    log_theta = np.log(np.concatenate(params.leaves, axis=-1))
+    log_theta = np.log(np.take(params.values, params.spec.layout.block,
+                               axis=-1))
     return (np.log(params.root)[..., None, :]
             + design @ np.swapaxes(log_theta, -1, -2))
 
@@ -364,15 +434,13 @@ def log_prior(params: ParamSet, prior: PriorSet) -> float:
     """
     if params.spec != prior.spec:
         raise ValueError("params and prior describe different models")
-    terms = []
-    for theta, alpha, norm in zip(params.tables, prior.tables,
-                                  prior.log_normalizers):
-        if np.any(theta <= 0.0):
-            raise ValueError("prior density needs interior parameters")
-        terms.append(norm + ((alpha - 1.0) * np.log(theta)).sum(axis=-1))
+    if np.any(params.values <= 0.0):
+        raise ValueError("prior density needs interior parameters")
+    terms = prior.log_normalizers + params.spec.layout.rows.sum(
+        (prior.values - 1.0) * np.log(params.values))
     # cumsum adds strictly left to right, so the row terms are summed in
     # table order, row by row, with no pairwise regrouping.
-    return _scalar(np.cumsum(np.concatenate(terms, axis=-1), axis=-1)[..., -1])
+    return _scalar(np.cumsum(terms, axis=-1)[..., -1])
 
 
 def log_posterior_g(params: ParamSet, data: Dataset, prior: PriorSet) -> float:
@@ -392,7 +460,7 @@ def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:
     The root counts are the posterior column sums; leaf ``i``'s row ``j``
     sums state ``j``'s posterior over the records, split by their value.
     All leaves come from one product with the one-hot design,
-    ``post.T @ data.design``, split at the arity offsets; a (B, N, c) stack
+    ``post.T @ data.design``, scattered to their tables; a (B, N, c) stack
     of posteriors gives a stack of counts, one product per copy.
     Indicator posteriors give complete-data counts.
 
@@ -401,10 +469,11 @@ def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:
     give the same bits; a different BLAS build or thread count may round
     large tables differently.
     """
-    leaves = np.swapaxes(post, -1, -2) @ data.design
-    bounds = np.cumsum(data.spec.observed_arities)[:-1]
-    return StatSet(data.spec, post.sum(axis=-2),
-                   np.split(leaves, bounds, axis=-1))
+    layout = data.spec.layout
+    values = np.empty(post.shape[:-2] + (layout.size,))
+    values[..., :data.spec.hidden_arity] = post.sum(axis=-2)
+    values[..., layout.block] = np.swapaxes(post, -1, -2) @ data.design
+    return StatSet.from_values(data.spec, values)
 
 
 def expected_counts(params: ParamSet, data: Dataset) -> StatSet:
@@ -428,15 +497,11 @@ def grad_g(coords: np.ndarray, data: Dataset, prior: PriorSet) -> np.ndarray:
     gradients, each row the same bits as a call on that point alone.
     """
     params = free_to_params(data.spec, coords)
-    stack = np.shape(coords)[:-1]
-    parts = []
-    for theta, counts, alpha in zip(params.tables,
-                                    expected_counts(params, data).tables,
-                                    prior.tables):
-        v = counts + alpha - 1.0
-        parts.append((v[..., :-1] / theta[..., :-1]
-                      - v[..., -1:] / theta[..., -1:]).reshape(*stack, -1))
-    return np.concatenate(parts, axis=-1)
+    layout = data.spec.layout
+    ratio = ((expected_counts(params, data).values + prior.values - 1.0)
+             / params.values)
+    return (np.take(ratio, layout.free, axis=-1)
+            - layout.free_rows.expand(np.take(ratio, layout.last, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +522,7 @@ def params_from_json_dict(doc: dict) -> ParamSet:
     spec = ModelSpec(
         tuple(doc["spec"]["observed_arities"]), doc["spec"]["hidden_arity"]
     )
-    return ParamSet(spec, np.array(doc["root"]),
-                    [np.array(t) for t in doc["leaves"]])
+    return ParamSet(spec, doc["root"], doc["leaves"])
 
 
 def write_model(params: ParamSet, path, extra: dict | None = None) -> None:

@@ -85,9 +85,13 @@ def sample_dirichlet(alphas, rng: SeededStream) -> np.ndarray:
         raise ValueError("need at least two concentration parameters")
     if np.any(a <= 0):
         raise ValueError("Dirichlet concentrations must be positive")
-    draws = rng.generator.standard_gamma(a)
-    draws = np.maximum(draws, 1e-300)
+    draws = gamma_variates(a, rng)
     return draws / draws.sum(axis=-1, keepdims=True)
+
+
+def gamma_variates(alphas: np.ndarray, rng: SeededStream) -> np.ndarray:
+    """Gamma(alpha, 1) variates in C order, clamped below at 1e-300."""
+    return np.maximum(rng.generator.standard_gamma(alphas), 1e-300)
 
 
 def log_det_pd(matrix: np.ndarray) -> float:

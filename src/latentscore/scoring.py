@@ -84,21 +84,18 @@ def _params_of(mode) -> ParamSet:
     return mode.params if isinstance(mode, EmResult) else mode
 
 
-def _bd_rows(counts: np.ndarray, alphas: np.ndarray) -> float:
-    a0 = alphas.sum(axis=1)
-    return float((gammaln(a0) - gammaln(a0 + counts.sum(axis=1))
-                  + (gammaln(alphas + counts) - gammaln(alphas)).sum(axis=1)
-                  ).sum())
-
-
 def fractional_bd(stats: StatSet, prior: PriorSet) -> float:
     """The closed-form score with gamma functions taken at real-valued counts."""
     if stats.spec != prior.spec:
         raise ValueError("statistics and prior describe different models")
-    total = 0.0
-    for counts, alphas in zip(stats.tables, prior.tables):
-        total += _bd_rows(counts, alphas)
-    return total
+    rows = stats.spec.layout.rows
+    a0 = rows.sum(prior.values)
+    terms = (gammaln(a0) - gammaln(a0 + rows.sum(stats.values))
+             + rows.sum(gammaln(prior.values + stats.values)
+                        - gammaln(prior.values)))
+    # cumsum adds the table totals strictly left to right, as a running
+    # total over the tables would.
+    return float(np.cumsum(stats.spec.layout.table_rows.sum(terms))[-1])
 
 
 def bd_complete(stats: StatSet, prior: PriorSet) -> float:
@@ -110,11 +107,9 @@ def bd_complete(stats: StatSet, prior: PriorSet) -> float:
 
 
 def _expected_complete_loglik(params: ParamSet, stats: StatSet) -> float:
-    """sum over all cells of E[N] * log theta."""
-    total = 0.0
-    for table, counts in zip(params.tables, stats.tables):
-        total += float((counts * np.log(table)).sum())
-    return total
+    """sum over all cells of E[N] * log theta, table by table in order."""
+    terms = stats.values * np.log(params.values)
+    return float(np.cumsum(params.spec.layout.tables.sum(terms))[-1])
 
 
 # ---------------------------------------------------------------------------

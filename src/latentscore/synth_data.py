@@ -11,7 +11,7 @@ import numpy as np
 
 from .model_core import (Dataset, ModelSpec, ParamSet, StatSet,
                          counts_from_posteriors)
-from .numerics import SeededStream, sample_dirichlet
+from .numerics import SeededStream, gamma_variates
 
 
 class DatasetParseError(ValueError):
@@ -19,15 +19,12 @@ class DatasetParseError(ValueError):
 
 
 def generate_model(spec: ModelSpec, rng: SeededStream) -> ParamSet:
-    """Draw every simplex row independently from the uniform Dirichlet."""
-    c = spec.hidden_arity
-    if c == 1:
-        root = np.ones(1)
-    else:
-        root = sample_dirichlet(np.ones(c), rng)
-    leaves = [sample_dirichlet(np.ones((c, r)), rng)
-              for r in spec.observed_arities]
-    return ParamSet(spec, root, leaves)
+    """Draw every simplex row independently from the uniform Dirichlet, with
+    one gamma variate per entry; with c=1 the root row is 1 and draws none."""
+    draws = np.ones(spec.layout.size)
+    skip = int(spec.hidden_arity == 1)
+    draws[skip:] = gamma_variates(draws[skip:], rng)
+    return ParamSet.from_values(spec, spec.layout.rows.normalize(draws))
 
 
 def sample_dataset(model: ParamSet, n_samples: int, rng: SeededStream) -> Dataset:

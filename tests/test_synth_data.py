@@ -30,15 +30,6 @@ class TestStatSet:
         frac = ls.StatSet(spec, np.array([2.5, 2.5]), [np.array([[1.25, 1.25], [1.25, 1.25]])])
         assert not frac.is_integral
 
-    def test_additivity(self):
-        spec = ls.binary_spec(1, 2)
-        a = ls.StatSet(spec, np.array([1.0, 0.0]), [np.array([[1.0, 0.0], [0.0, 0.0]])])
-        b = ls.StatSet(spec, np.array([0.5, 1.5]), [np.array([[0.0, 0.5], [1.0, 0.5]])])
-        s = a + b
-        assert np.allclose(s.root, [1.5, 1.5])
-        assert np.allclose(s.leaves[0], [[1.0, 0.5], [1.0, 0.5]])
-        assert s.n_samples == pytest.approx(3.0)
-
 
 class TestGenerateModel:
     def test_deterministic(self):
