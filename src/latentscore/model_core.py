@@ -16,10 +16,12 @@ own.  A container may also hold a stack of such sets, one per EM start,
 along a leading axis; every operation then works on all copies at once.
 
 Records enter through one (N, R) one-hot design, ``R = sum r_i``, in both
-directions: the E pass scores every record and hidden state as
-``log root + X @ log(theta).T``, and the counts are ``post.T @ X``.  All
-likelihoods run in the log domain; each record's mixture sum is shifted by
-its largest term so that products over many leaves cannot underflow.
+directions: the E pass scores every hidden state and record as the (c, N)
+``log root + log(theta) @ X.T``, and the counts are ``post @ X``.  Scores
+and posteriors keep the states on rows of N records, so each reduction
+over the states is a pass down c long rows.  All likelihoods run in the
+log domain; each record's mixture sum is shifted by its largest term so
+that products over many leaves cannot underflow.
 
 Free coordinates drop the last component of every simplex row.  The
 Dirichlet prior density is exactly the density in these coordinates (the
@@ -78,8 +80,10 @@ class Segments:
 
     ``sum`` gives each segment the bits of ``.sum(axis=-1)`` on it as a row
     of its own array: the segments of one length are reshaped to
-    ``(..., k, length)`` and summed on a unit-stride axis, sliced when they
-    lie side by side and gathered by a contiguous ``np.take`` otherwise.
+    ``(..., k, length)``, sliced when they lie side by side and gathered by
+    a contiguous ``np.take`` otherwise.  Rows of 8 or more entries are
+    summed on their unit-stride axis, which numpy does pairwise; shorter
+    rows, which numpy sums left to right, add their columns in that order.
     """
 
     def __init__(self, lengths):
@@ -101,7 +105,16 @@ class Segments:
         for segs, cols, r in self._groups:
             part = (values[..., cols] if isinstance(cols, slice)
                     else np.take(values, cols, axis=-1))
-            out[..., segs] = part.reshape(stack + (-1, r)).sum(axis=-1)
+            part = part.reshape(stack + (-1, r))
+            if r < 8:
+                # numpy sums a row this short left to right from 0.0;
+                # adding whole columns makes the same additions at once.
+                total = part[..., 0] + 0.0
+                for k in range(1, r):
+                    total += part[..., k]
+                out[..., segs] = total
+            else:
+                out[..., segs] = part.sum(axis=-1)
         return out
 
     def expand(self, per_segment: np.ndarray) -> np.ndarray:
@@ -375,17 +388,20 @@ def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
 # Likelihood machinery.
 
 def _component_log_scores(params: ParamSet, design: np.ndarray) -> np.ndarray:
-    """log[root_j * prod_i p(x_i | j)] per record: (N, c), or (B, N, c).
+    """log[root_j * prod_i p(x_i | j)] per state and record: (c, N), or
+    (B, c, N).
 
     One product with the (N, R) one-hot design that the counts use:
-    ``log root + X @ log(theta).T``, theta being the (c, R) leaf tables side
-    by side.  A stack gets one product per copy, of the same shape as the
-    product for that copy alone.
+    ``log root + log(theta) @ X.T``, theta being the (c, R) leaf tables
+    side by side.  A stack gets one product per copy, of the same shape as
+    the product for that copy alone.
     """
     log_theta = np.log(np.take(params.values, params.spec.layout.block,
                                axis=-1))
-    return (np.log(params.root)[..., None, :]
-            + design @ np.swapaxes(log_theta, -1, -2))
+    scores = log_theta @ design.T
+    # In place: a second (c, N) array would cost more than the addition.
+    scores += np.log(params.root)[..., :, None]
+    return scores
 
 
 def _scalar(value: np.ndarray):
@@ -394,28 +410,29 @@ def _scalar(value: np.ndarray):
 
 
 def e_pass(params: ParamSet, data: Dataset):
-    """One pass over the data: ``(log likelihood, (N, c) posteriors)``.
+    """One pass over the data: ``(log likelihood, (c, N) posteriors)``.
 
     Incomplete data marginalizes the hidden root per record: the scores
-    are shifted by the row maximum and exponentiated, the posteriors are
-    those terms over their row total, and the record's log marginal is
-    log total + max.  Complete data just reads off the assigned component,
-    and its posteriors are indicators.  A stack of parameter sets gets (B,)
-    log likelihoods and (B, N, c) posteriors, each copy the same bits as a
-    call on that copy alone.
+    are shifted by the record's maximum over the states and exponentiated,
+    the posteriors are those terms over their total over the states, and
+    the record's log marginal is log total + max.  Both reductions run down
+    the c rows of N records.  Complete data just reads off the assigned
+    component, and its posteriors are indicators.  A stack of parameter
+    sets gets (B,) log likelihoods and (B, c, N) posteriors, each copy the
+    same bits as a call on that copy alone.
     """
     if params.spec != data.spec:
         raise ValueError("params and data describe different models")
     scores = _component_log_scores(params, data.design)
     if data.hidden is None:
-        top = scores.max(axis=-1, keepdims=True)
+        top = scores.max(axis=-2, keepdims=True)
         scores -= top
         np.exp(scores, out=scores)
-        total = scores.sum(axis=-1, keepdims=True)
+        total = scores.sum(axis=-2, keepdims=True)
         scores /= total
-        return _scalar((np.log(total) + top)[..., 0].sum(axis=-1)), scores
-    picked = scores[..., np.arange(data.n_samples), data.hidden]
-    indicators = np.eye(data.spec.hidden_arity)[data.hidden]
+        return _scalar((np.log(total) + top)[..., 0, :].sum(axis=-1)), scores
+    picked = scores[..., data.hidden, np.arange(data.n_samples)]
+    indicators = np.eye(data.spec.hidden_arity)[:, data.hidden]
     return (_scalar(picked.sum(axis=-1)),
             np.broadcast_to(indicators, scores.shape).copy())
 
@@ -451,18 +468,18 @@ def log_posterior_g(params: ParamSet, data: Dataset, prior: PriorSet) -> float:
 def posterior_over_hidden(params: ParamSet, row) -> np.ndarray:
     """p(root state | one observed record), computed in the log domain."""
     record = Dataset(params.spec, np.reshape(row, (1, -1)))
-    return e_pass(params, record)[1][0]
+    return e_pass(params, record)[1][:, 0]
 
 
 def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:
-    """Expected counts from an (N, c) posterior matrix.
+    """Expected counts from a (c, N) posterior matrix.
 
-    The root counts are the posterior column sums; leaf ``i``'s row ``j``
-    sums state ``j``'s posterior over the records, split by their value.
-    All leaves come from one product with the one-hot design,
-    ``post.T @ data.design``, scattered to their tables; a (B, N, c) stack
-    of posteriors gives a stack of counts, one product per copy.
-    Indicator posteriors give complete-data counts.
+    The root counts are each state's posteriors summed in record order;
+    leaf ``i``'s row ``j`` sums state ``j``'s posterior over the records,
+    split by their value.  All leaves come from one product with the
+    one-hot design, ``post @ data.design``, scattered to their tables; a
+    (B, c, N) stack of posteriors gives a stack of counts, one product per
+    copy.  Indicator posteriors give complete-data counts.
 
     The product adds each entry's terms in BLAS's order, not record order.
     On one machine and BLAS thread count that order is fixed, so reruns
@@ -471,8 +488,10 @@ def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:
     """
     layout = data.spec.layout
     values = np.empty(post.shape[:-2] + (layout.size,))
-    values[..., :data.spec.hidden_arity] = post.sum(axis=-2)
-    values[..., layout.block] = np.swapaxes(post, -1, -2) @ data.design
+    # cumsum adds strictly left to right, in record order; a plain sum
+    # along the row would add pairwise.
+    values[..., :data.spec.hidden_arity] = np.cumsum(post, axis=-1)[..., -1]
+    values[..., layout.block] = post @ data.design
     return StatSet.from_values(data.spec, values)
 
 

@@ -56,7 +56,7 @@ ORACLE_CAP = 2 ** 20
 HESSIAN_REL_STEP = 1e-5
 
 # neg_hessian evaluates a block of 2b perturbed points as one stack, and b is
-# the widest block whose (2b, N, c) float64 posteriors fit in this many bytes
+# the widest block whose (2b, c, N) float64 posteriors fit in this many bytes
 # (the stack's other temporaries are a few times that).  A byte bound, not a
 # column count, because a column's bytes grow with N and c.  At n=32, c=8,
 # N=400 it gives 20 columns: blocks of 8 to 64 columns took about the same
@@ -222,7 +222,7 @@ def neg_hessian(coords: np.ndarray, data: Dataset,
     x = np.asarray(coords, dtype=float)
     d = x.size
     h = HESSIAN_REL_STEP * np.maximum(1.0, np.abs(x))
-    # One column's two points carry 2 * N * c float64 posteriors.
+    # One column's two points carry 2 * c * N float64 posteriors.
     width = max(1, HESSIAN_BLOCK_BYTES
                 // (2 * data.n_samples * data.spec.hidden_arity * 8))
     jac = np.empty((d, d))

@@ -65,8 +65,8 @@ def sufficient_stats(data: Dataset) -> StatSet:
     """
     if data.hidden is None:
         raise ValueError("sufficient statistics need complete data")
-    return counts_from_posteriors(np.eye(data.spec.hidden_arity)[data.hidden],
-                                  data)
+    indicators = np.eye(data.spec.hidden_arity)[:, data.hidden]
+    return counts_from_posteriors(indicators, data)
 
 
 def write_dataset(data: Dataset, path) -> None:

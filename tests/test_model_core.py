@@ -417,6 +417,7 @@ def test_expected_counts_totals_and_complete_match(make_instance):
 
 def _add_at_counts(post, data):
     # Per-leaf scatter-add: each cell sums its terms in record order.
+    post = np.ascontiguousarray(post.T)
     leaves = []
     for i, r in enumerate(data.spec.observed_arities):
         table = np.zeros((r, post.shape[1]))
@@ -525,6 +526,7 @@ def test_component_scores_equal_strided_gather(arities, c, stacked):
                      axis=-2)
     for i, table in enumerate(params.leaves):
         want += np.swapaxes(np.log(table), -1, -2)[..., data.rows[:, i], :]
+    want = np.swapaxes(want, -1, -2)
     got = _component_log_scores(params, data.design)
     assert got.shape == want.shape
     bound = 2 * (len(arities) + 1) * 2.0**-53
@@ -571,7 +573,7 @@ def test_e_pass_survives_joints_below_exp_minus_745():
     assert np.all(np.exp(ref).sum(axis=-1) == 0.0)
     ll, post = e_pass(params, data)
     assert np.all(np.isfinite(post))
-    assert np.allclose(post.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(post.sum(axis=0), 1.0, rtol=0, atol=1e-12)
     want = float(logsumexp(ref, axis=-1).sum())
     assert abs(ll - want) <= 1e-12 * abs(want)
 
@@ -590,6 +592,71 @@ def test_counts_near_per_leaf_reference_at_large_shapes(n, c, n_samples):
     want = _add_at_counts(post, data)
     for a, b in zip(got.tables, want):
         assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
+
+
+@pytest.mark.parametrize("arities, c, n_samples", [
+    ((2,) * 8, 4, 300), ((2,) * 8, 4, 333), ((2, 3, 5), 1, 300),
+    ((2,) * 8, 1, 333),
+], ids=["n8-c4-N300", "n8-c4-N333", "c1-N300", "c1-N333"])
+def test_stacked_e_pass_and_counts_equal_one_set_at_a_time(arities, c,
+                                                          n_samples):
+    """At these shapes one product for the whole stack would round some
+    copies differently from the product for that copy alone."""
+    spec, data = _spec_data(arities, c, n_samples, 25)
+    sets, stack = _stack(spec, 26, 16)
+    ll, post = e_pass(stack, data)
+    counts = counts_from_posteriors(post, data)
+    assert post.shape == (16, c, n_samples)
+    for b, params in enumerate(sets):
+        ll_one, post_one = e_pass(params, data)
+        assert ll[b] == ll_one
+        assert np.array_equal(post[b], post_one)
+        assert np.array_equal(counts.values[b],
+                              counts_from_posteriors(post_one, data).values)
+
+
+def _records_by_states_e_pass(params, data):
+    # The (N, c) E pass that the (c, N) layout replaced, inline.
+    log_theta = np.log(np.take(params.values, params.spec.layout.block,
+                               axis=-1))
+    scores = (np.log(params.root)[..., None, :]
+              + data.design @ np.swapaxes(log_theta, -1, -2))
+    top = scores.max(axis=-1, keepdims=True)
+    scores -= top
+    np.exp(scores, out=scores)
+    total = scores.sum(axis=-1, keepdims=True)
+    scores /= total
+    return (np.log(total) + top)[..., 0].sum(axis=-1), scores
+
+
+@pytest.mark.parametrize("arities, c", [
+    ((2,) * 8, 1), ((2,) * 8, 2), ((2,) * 8, 4), ((2,) * 32, 7),
+    ((2, 3, 5, 9, 12), 3),
+], ids=["n8-c1", "n8-c2", "n8-c4", "n32-c7", "mixed-c3"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+def test_e_pass_below_eight_states_keeps_the_records_by_states_bits(
+        arities, c, stacked):
+    """Below 8 states numpy sums a record's c terms left to right, as the
+    (c, N) total down the rows does, so nothing moves a bit."""
+    spec, data = _spec_data(arities, c, 400, 27)
+    sets, stack = _stack(spec, 28, 8)
+    params = stack if stacked else sets[0]
+    ll, post = e_pass(params, data)
+    want_ll, want_post = _records_by_states_e_pass(params, data)
+    assert np.array_equal(ll, want_ll)
+    assert np.array_equal(post, np.swapaxes(want_post, -1, -2))
+
+
+@pytest.mark.parametrize("n, c", [(8, 4), (8, 8), (32, 9)],
+                         ids=["n8-c4", "n8-c8", "n32-c9"])
+def test_root_counts_are_record_order_sums(n, c):
+    spec, data = _spec_data((2,) * n, c, 400, 29)
+    sets, stack = _stack(spec, 30, 4)
+    post = e_pass(stack, data)[1]
+    want = np.zeros((4, c))
+    for t in range(data.n_samples):
+        want += post[..., t]
+    assert np.array_equal(counts_from_posteriors(post, data).root, want)
 
 
 def test_dataset_rejects_non_integral_states():
