@@ -129,8 +129,9 @@ class Layout:
 
     ``rows`` and ``tables`` segment the entries, ``table_rows`` the rows and
     ``free_rows`` the free coordinates.  ``free`` and ``last`` index the
-    free entries and each row's last one; ``block`` gathers the ``(c, R)``
-    leaf tables side by side, in the design's column order.
+    free entries and each row's last one, and ``free_last`` gives each free
+    coordinate its row's last entry; ``block`` gathers the ``(c, R)`` leaf
+    tables side by side, in the design's column order.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -142,6 +143,7 @@ class Layout:
         self.table_rows = Segments([1] + [c] * arities.size)
         self.last = np.cumsum(lengths) - 1
         self.free = np.delete(np.arange(self.size), self.last)
+        self.free_last = np.repeat(self.last, lengths - 1)
         leaf = np.repeat(np.arange(arities.size), arities)
         before = (np.cumsum(arities) - arities)[leaf]
         self.block = (c + (c - 1) * before + np.arange(leaf.size)
@@ -357,20 +359,17 @@ def clamp_rows(table: np.ndarray) -> np.ndarray:
 def params_to_free(params: ParamSet) -> np.ndarray:
     """Flatten to free coordinates: root[:-1], then each leaf row's [:-1].
 
-    A stack of B sets gives ``(B, d)``, the inverse of ``free_to_params``.
+    A stack of B sets gives ``(B, d)``, one row per set.
     """
     return np.take(params.values, params.spec.layout.free, axis=-1)
 
 
 def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
-    """Rebuild a ParamSet, restoring each dropped component as the remainder.
-
-    ``(d,)`` coordinates give one set; ``(B, d)`` give a stack of B sets,
-    each row rebuilt as it would be alone.
-    """
+    """Rebuild a ParamSet from ``(d,)`` coordinates, restoring each dropped
+    component as the remainder."""
     coords = np.asarray(coords, dtype=float)
     d = dimension(spec)
-    if coords.ndim not in (1, 2) or coords.shape[-1] != d:
+    if coords.shape != (d,):
         raise ValueError(f"expected {d} free coordinates, got {coords.shape}")
     if np.any(coords <= 0.0):
         raise ValueError("free coordinates must be positive")
@@ -378,9 +377,9 @@ def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
     rest = 1.0 - layout.free_rows.sum(coords)
     if np.any(rest <= 0.0):
         raise ValueError("free coordinates of a row must sum below 1")
-    values = np.empty(coords.shape[:-1] + (layout.size,))
-    values[..., layout.free] = coords
-    values[..., layout.last] = rest
+    values = np.empty(layout.size)
+    values[layout.free] = coords
+    values[layout.last] = rest
     return ParamSet.from_values(spec, values)
 
 
@@ -512,15 +511,13 @@ def grad_g(coords: np.ndarray, data: Dataset, prior: PriorSet) -> np.ndarray:
     v_k = E[N_k] + alpha_k - 1 it is v_k / theta_k - v_last / theta_last.
     The expected counts are the posterior-weighted statistics at ``coords``
     (for complete data, the actual counts), which is the standard missing-data
-    identity for the score function.  ``(B, d)`` coordinates give ``(B, d)``
-    gradients, each row the same bits as a call on that point alone.
+    identity for the score function.
     """
     params = free_to_params(data.spec, coords)
     layout = data.spec.layout
     ratio = ((expected_counts(params, data).values + prior.values - 1.0)
              / params.values)
-    return (np.take(ratio, layout.free, axis=-1)
-            - layout.free_rows.expand(np.take(ratio, layout.last, axis=-1)))
+    return ratio[layout.free] - ratio[layout.free_last]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ does not, so this module provides five asymptotic approximations, all
 evaluated at the posterior mode found by EM:
 
 - ``laplace``: second-order expansion of g around the mode; needs the
-  determinant of the negative Hessian, built from 2d gradient evaluations.
+  determinant of the negative Hessian, in closed form from one E pass.
 - ``bic``: log likelihood at the mode minus (d/2) log N.
 - ``draper``: bic plus (d/2) log 2*pi, a constant offset per dimension.
 - ``mled``: the closed form applied to the fractional expected statistics.
@@ -37,7 +37,8 @@ from .model_core import (
     counts_from_posteriors,
     dimension,
     e_pass,
-    grad_g,
+    free_to_params,
+    grad_g,  # perfbench/layers.py traces scoring.grad_g
     log_likelihood,
     log_posterior_g,
     log_prior,
@@ -52,17 +53,6 @@ from .numerics import (
 MEASURES = ("laplace", "bic", "draper", "mled", "cs")
 
 ORACLE_CAP = 2 ** 20
-
-HESSIAN_REL_STEP = 1e-5
-
-# neg_hessian evaluates a block of 2b perturbed points as one stack, and b is
-# the widest block whose (2b, c, N) float64 posteriors fit in this many bytes
-# (the stack's other temporaries are a few times that).  A byte bound, not a
-# column count, because a column's bytes grow with N and c.  At n=32, c=8,
-# N=400 it gives 20 columns: blocks of 8 to 64 columns took about the same
-# time there, and one block of all 263 took 1.7x as long.  At the paper's
-# n=64, c=32 all 4158 points at once would hold 425 MB of posteriors.
-HESSIAN_BLOCK_BYTES = 2 ** 20
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -194,52 +184,50 @@ def oracle_exact(data: Dataset, spec: ModelSpec, prior: PriorSet,
 # ---------------------------------------------------------------------------
 # Curvature at the mode.
 
-def _step_off_simplex(points: np.ndarray, cols: np.ndarray, data: Dataset,
-                      prior: PriorSet) -> None:
-    """Name the first column of a failed block whose plus or minus point
-    fails on its own.  The per-point calls run only on this failure path."""
-    b = cols.size
-    for k, j in enumerate(cols):
-        try:
-            grad_g(points[k], data, prior)
-            grad_g(points[b + k], data, prior)
-        except ValueError as exc:
-            raise NumericalFailureError(
-                f"difference step at coordinate {j} left the simplex") from exc
-
-
 def neg_hessian(coords: np.ndarray, data: Dataset,
                 prior: PriorSet) -> np.ndarray:
-    """-(d^2 g / dx^2) by central differences of the exact gradient.
+    """-(d^2 g / dx^2) in closed form, from one E pass (Louis 1982).
 
-    The step for coordinate j is HESSIAN_REL_STEP * max(1, |x_j|).  The
-    Jacobian is filled a block of columns at a time: one stacked ``grad_g``
-    call on the points x + h_j e_j of the block's columns, then x - h_j e_j,
-    in column order.  A block holds as many columns as keep the stack's
-    posteriors within HESSIAN_BLOCK_BYTES.  The averaged matrix
-    (J + J^T) / 2 is exactly symmetric, which log_det_pd requires.
+    With v = E[counts] + alpha - 1, the packed entries' curvature is
+    diag(v / theta^2) less the posterior covariance, summed over records,
+    of each record's complete-data score.  Had record t's hidden state been
+    j, that score would be [1, x_t] / theta on state j's root entry and leaf
+    block.  The drop-last chart maps entries u to free coordinates as
+    u[free] - u[free_last], so with S_j the charted scores (N records by the
+    root row's and state j's leaf rows' coordinates) and V = sum_j post_j S_j,
+
+        -H = chart(diag(v / theta^2)) - sum_j S_j^T diag(post_j) S_j + V^T V.
+
+    The result is made exactly symmetric, which log_det_pd requires.
     """
-    x = np.asarray(coords, dtype=float)
-    d = x.size
-    h = HESSIAN_REL_STEP * np.maximum(1.0, np.abs(x))
-    # One column's two points carry 2 * c * N float64 posteriors.
-    width = max(1, HESSIAN_BLOCK_BYTES
-                // (2 * data.n_samples * data.spec.hidden_arity * 8))
-    jac = np.empty((d, d))
-    for start in range(0, d, width):
-        cols = np.arange(start, min(start + width, d))
-        b = cols.size
-        rows = np.arange(b)
-        points = np.tile(x, (2 * b, 1))
-        points[rows, cols] += h[cols]
-        points[rows + b, cols] -= h[cols]
-        try:
-            grads = grad_g(points, data, prior)
-        except ValueError:
-            _step_off_simplex(points, cols, data, prior)
-            raise
-        jac[:, cols] = ((grads[:b] - grads[b:]) / (2.0 * h[cols, None])).T
-    a = -(jac + jac.T) / 2.0
+    params = free_to_params(data.spec, coords)
+    layout, c = data.spec.layout, data.spec.hidden_arity
+    theta, n, d = params.values, data.n_samples, layout.free.size
+    post = e_pass(params, data)[1]
+    curv = ((counts_from_posteriors(post, data).values + prior.values - 1.0)
+            / theta ** 2)
+    score = np.concatenate((np.zeros((n, c)), data.design), axis=1)
+    v_mat = np.zeros((n, d))
+    a = np.zeros((d, d))
+    for j in range(c):
+        # State j's score lies on the root row and state j's leaf block;
+        # ``at`` places those entries in the columns of ``score``, and the
+        # chart keeps the coordinates whose entries it places.
+        entries = np.concatenate((np.arange(c), layout.block[j]))
+        at = np.full(layout.size, -1)
+        at[entries] = np.arange(entries.size)
+        cols = np.flatnonzero(at[layout.free] >= 0)
+        score[:, :c] = np.arange(c) == j
+        u = score / theta[entries]
+        s = u[:, at[layout.free[cols]]] - u[:, at[layout.free_last[cols]]]
+        w = post[j][:, None] * s
+        a[np.ix_(cols, cols)] -= w.T @ s
+        v_mat[:, cols] += w
+    a += v_mat.T @ v_mat
+    a[np.diag_indices(d)] += curv[layout.free]
+    k, m = np.nonzero(layout.free_last[:, None] == layout.free_last)
+    a[k, m] += curv[layout.free_last[k]]
+    a = (a + a.T) / 2.0
     if not np.all(np.isfinite(a)):
         raise NumericalFailureError("negative Hessian has non-finite entries")
     return a
@@ -333,8 +321,8 @@ def score_report(em, data: Dataset, prior: PriorSet,
     expected counts its posteriors give.  mled and cs are computed from
     those here rather than through ``mled_score`` and ``cs_score``, each of
     which makes its own E pass.  laplace is ``laplace_score``, whose own
-    E pass is small beside its 2d gradient evaluations; the oracle does not
-    use the mode.
+    E passes are small beside the d x d curvature products; the oracle does
+    not use the mode.
 
     ``measures`` may include "oracle" in addition to the approximations.
     Complete data (with the hidden column) raises ValueError up front.
