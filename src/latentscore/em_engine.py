@@ -234,9 +234,9 @@ def tournament_init(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
     """
     data = align_hidden_arity(spec, data)
     _check_fit_inputs(data, prior, config)
-    starts = np.stack([generate_model(spec, rng.child(idx)).values
-                       for idx in range(config.tournament_start)])
-    run = _start(ParamSet.from_values(spec, starts), data, prior, config.mode)
+    starts = generate_model(spec, [rng.child(idx)
+                                   for idx in range(config.tournament_start)])
+    run = _start(starts, data, prior, config.mode)
     idx = np.arange(config.tournament_start)
     iters = 1
     while idx.size > 1:

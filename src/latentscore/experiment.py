@@ -35,10 +35,10 @@ from .em_engine import (
     fit,
 )
 from .model_core import (
-    Dataset,
     ModelSpec,
     ParamSet,
     PriorSet,
+    align_hidden_arity,
     dimension,
     model_to_json_dict,
     params_from_json_dict,
@@ -165,7 +165,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     def run_cell(k: int, rep: int, tc: int) -> CellResult:
         spec_fit = ModelSpec(spec_true.observed_arities, tc)
-        data_fit = Dataset(spec_fit, datasets[rep].rows)
+        data_fit = align_hidden_arity(spec_fit, datasets[rep])
         prior = PriorSet.symmetric(spec_fit, config.alpha)
         rng = SeededStream(config.master_seed, k)
         started = perf_counter()

@@ -15,13 +15,17 @@ elementwise arithmetic on it plus per-row sums from the spec's cached
 own.  A container may also hold a stack of such sets, one per EM start,
 along a leading axis; every operation then works on all copies at once.
 
-Records enter through one (N, R) one-hot design, ``R = sum r_i``, in both
-directions: the E pass scores every hidden state and record as the (c, N)
-``log root + log(theta) @ X.T``, and the counts are ``post @ X``.  Scores
-and posteriors keep the states on rows of N records, so each reduction
-over the states is a pass down c long rows.  All likelihoods run in the
-log domain; each record's mixture sum is shifted by its largest term so
-that products over many leaves cannot underflow.
+Records enter through their distinct patterns: a dataset caches its K
+distinct records in first-occurrence order, their multiplicities ``w`` and
+one (K, R) one-hot design ``X``, ``R = sum r_i``.  Every pass runs over
+the patterns with those weights: the E pass scores every hidden state and
+pattern as the (c, K) ``log root + log(theta) @ X.T`` and sums the
+weighted log marginals, the counts are one product ``post @ (w [1, X])``,
+and the curvature scales each pattern's score row by sqrt(w).  Scores and
+posteriors keep the states on rows of K patterns, so each reduction over
+the states is a pass down c long rows.  All likelihoods run in the log
+domain; each pattern's mixture sum is shifted by its largest term so that
+products over many leaves cannot underflow.
 
 Free coordinates drop the last component of every simplex row.  The
 Dirichlet prior density is exactly the density in these coordinates (the
@@ -314,20 +318,48 @@ class Dataset:
         return self.rows.shape[0]
 
     @cached_property
-    def design(self) -> np.ndarray:
-        """The (N, R) float one-hot design, R = sum of the arities: leaf i's
-        value x in a record sets column r_1 + ... + r_(i-1) + x of its row.
-        Built on first use; the rows are never changed after ``__post_init__``.
-        """
-        arities = self.spec.observed_arities
-        offsets = np.cumsum((0,) + arities[:-1])
-        design = np.zeros((self.n_samples, sum(arities)))
-        np.put_along_axis(design, self.rows + offsets, 1.0, axis=1)
-        return design
+    def patterns(self) -> "Patterns":
+        """The distinct records, grouped on (record, hidden state) when the
+        hidden column is present.  Built on first use; the rows are never
+        changed after ``__post_init__``."""
+        return Patterns(self)
 
     @property
     def is_complete(self) -> bool:
         return self.hidden is not None
+
+
+class Patterns:
+    """A dataset's K distinct records, in order of first occurrence.
+
+    ``rows`` (K, n) are the records and ``weights`` (K,) how many times
+    each occurs, as floats; with the hidden column present, records are
+    grouped on (record, hidden state) and ``hidden`` (K,) holds each
+    pattern's state, otherwise it is None.  ``design`` is the (K, R) float
+    one-hot design, R = sum of the arities: leaf i's value x sets column
+    r_1 + ... + r_(i-1) + x of a pattern's row.  ``design_t`` is its
+    C-contiguous transpose, which the E pass multiplies by, and
+    ``counts_design`` the (K, 1 + R) ``w [1, X]`` that the counts multiply
+    the posteriors by.
+    """
+
+    def __init__(self, data: Dataset):
+        keys = (data.rows if data.hidden is None
+                else np.column_stack((data.rows, data.hidden)))
+        _, first, counts = np.unique(keys, axis=0, return_index=True,
+                                     return_counts=True)
+        order = np.argsort(first)
+        first = first[order]
+        self.rows = data.rows[first]
+        self.hidden = None if data.hidden is None else data.hidden[first]
+        self.weights = counts[order].astype(float)
+        arities = data.spec.observed_arities
+        offsets = np.cumsum((0,) + arities[:-1])
+        self.design = np.zeros((first.size, sum(arities)))
+        np.put_along_axis(self.design, self.rows + offsets, 1.0, axis=1)
+        self.design_t = np.ascontiguousarray(self.design.T)
+        self.counts_design = self.weights[:, None] * np.concatenate(
+            (np.ones((first.size, 1)), self.design), axis=1)
 
 
 def align_hidden_arity(spec: ModelSpec, data: Dataset) -> Dataset:
@@ -344,7 +376,10 @@ def align_hidden_arity(spec: ModelSpec, data: Dataset) -> Dataset:
                          "hidden arity")
     if data.spec.observed_arities != spec.observed_arities:
         raise ValueError("observed arities differ between spec and data")
-    return Dataset(spec, data.rows)
+    aligned = Dataset(spec, data.rows)
+    # Incomplete patterns do not depend on the hidden arity.
+    aligned.patterns = data.patterns
+    return aligned
 
 
 def clamp_rows(table: np.ndarray) -> np.ndarray:
@@ -386,19 +421,20 @@ def free_to_params(spec: ModelSpec, coords: np.ndarray) -> ParamSet:
 # ---------------------------------------------------------------------------
 # Likelihood machinery.
 
-def _component_log_scores(params: ParamSet, design: np.ndarray) -> np.ndarray:
-    """log[root_j * prod_i p(x_i | j)] per state and record: (c, N), or
-    (B, c, N).
+def _component_log_scores(params: ParamSet,
+                          design_t: np.ndarray) -> np.ndarray:
+    """log[root_j * prod_i p(x_i | j)] per state and pattern: (c, K), or
+    (B, c, K).
 
-    One product with the (N, R) one-hot design that the counts use:
+    One product with the (R, K) transposed pattern design:
     ``log root + log(theta) @ X.T``, theta being the (c, R) leaf tables
     side by side.  A stack gets one product per copy, of the same shape as
     the product for that copy alone.
     """
     log_theta = np.log(np.take(params.values, params.spec.layout.block,
                                axis=-1))
-    scores = log_theta @ design.T
-    # In place: a second (c, N) array would cost more than the addition.
+    scores = log_theta @ design_t
+    # In place: a second (c, K) array would cost more than the addition.
     scores += np.log(params.root)[..., :, None]
     return scores
 
@@ -409,30 +445,35 @@ def _scalar(value: np.ndarray):
 
 
 def e_pass(params: ParamSet, data: Dataset):
-    """One pass over the data: ``(log likelihood, (c, N) posteriors)``.
+    """One pass over the data: ``(log likelihood, (c, K) posteriors)``.
 
-    Incomplete data marginalizes the hidden root per record: the scores
-    are shifted by the record's maximum over the states and exponentiated,
-    the posteriors are those terms over their total over the states, and
-    the record's log marginal is log total + max.  Both reductions run down
-    the c rows of N records.  Complete data just reads off the assigned
-    component, and its posteriors are indicators.  A stack of parameter
-    sets gets (B,) log likelihoods and (B, c, N) posteriors, each copy the
-    same bits as a call on that copy alone.
+    The pass runs over the K distinct patterns (``Dataset.patterns``), and
+    a pattern's posteriors stand for each of its records.  Incomplete data
+    marginalizes the hidden root per pattern: the scores are shifted by
+    the pattern's maximum over the states and exponentiated, the
+    posteriors are those terms over their total over the states, and the
+    pattern's log marginal is log total + max.  Both reductions run down
+    the c rows of K patterns.  The log likelihood is the row sum of the
+    log marginals times the multiplicities.  Complete data just reads off
+    each pattern's assigned component, and its posteriors are indicators.
+    A stack of parameter sets gets (B,) log likelihoods and (B, c, K)
+    posteriors, each copy the same bits as a call on that copy alone.
     """
     if params.spec != data.spec:
         raise ValueError("params and data describe different models")
-    scores = _component_log_scores(params, data.design)
-    if data.hidden is None:
+    patterns = data.patterns
+    scores = _component_log_scores(params, patterns.design_t)
+    if patterns.hidden is None:
         top = scores.max(axis=-2, keepdims=True)
         scores -= top
         np.exp(scores, out=scores)
         total = scores.sum(axis=-2, keepdims=True)
         scores /= total
-        return _scalar((np.log(total) + top)[..., 0, :].sum(axis=-1)), scores
-    picked = scores[..., data.hidden, np.arange(data.n_samples)]
-    indicators = np.eye(data.spec.hidden_arity)[:, data.hidden]
-    return (_scalar(picked.sum(axis=-1)),
+        log_marginal = (np.log(total) + top)[..., 0, :]
+        return _scalar((log_marginal * patterns.weights).sum(axis=-1)), scores
+    picked = scores[..., patterns.hidden, np.arange(patterns.weights.size)]
+    indicators = np.eye(data.spec.hidden_arity)[:, patterns.hidden]
+    return (_scalar((picked * patterns.weights).sum(axis=-1)),
             np.broadcast_to(indicators, scores.shape).copy())
 
 
@@ -471,14 +512,15 @@ def posterior_over_hidden(params: ParamSet, row) -> np.ndarray:
 
 
 def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:
-    """Expected counts from a (c, N) posterior matrix.
+    """Expected counts from a (c, K) posterior matrix over the patterns.
 
-    The root counts are each state's posteriors summed in record order;
-    leaf ``i``'s row ``j`` sums state ``j``'s posterior over the records,
-    split by their value.  All leaves come from one product with the
-    one-hot design, ``post @ data.design``, scattered to their tables; a
-    (B, c, N) stack of posteriors gives a stack of counts, one product per
-    copy.  Indicator posteriors give complete-data counts.
+    One product with the weighted pattern design gives the root and the
+    leaf counts together: ``post @ (w [1, X])``, whose first column is each
+    state's weighted posterior total and whose other columns, scattered to
+    the leaf tables, sum state ``j``'s weighted posterior over the patterns
+    split by each leaf's value.  A (B, c, K) stack of posteriors gives a
+    stack of counts, one product per copy.  Indicator posteriors give
+    complete-data counts.
 
     The product adds each entry's terms in BLAS's order, not record order.
     On one machine and BLAS thread count that order is fixed, so reruns
@@ -486,11 +528,10 @@ def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:
     large tables differently.
     """
     layout = data.spec.layout
+    both = post @ data.patterns.counts_design
     values = np.empty(post.shape[:-2] + (layout.size,))
-    # cumsum adds strictly left to right, in record order; a plain sum
-    # along the row would add pairwise.
-    values[..., :data.spec.hidden_arity] = np.cumsum(post, axis=-1)[..., -1]
-    values[..., layout.block] = post @ data.design
+    values[..., :data.spec.hidden_arity] = both[..., 0]
+    values[..., layout.block] = both[..., 1:]
     return StatSet.from_values(data.spec, values)
 
 

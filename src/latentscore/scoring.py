@@ -128,12 +128,13 @@ def oracle_exact(data: Dataset, spec: ModelSpec, prior: PriorSet,
                  cap: int = ORACLE_CAP) -> float:
     """log p(D): log-sum-exp of the closed form over grouped completions.
 
-    Records with the same observed pattern are exchangeable, so a
-    completion of the hidden column enters only through how many of each
-    pattern's m_k records go to each state.  Each such split (a group)
-    stands for prod_k m_k! / prod_kj n_kj! completions with equal closed
-    form.  There are prod_k C(m_k + c - 1, c - 1) groups, never more than
-    c^N.  Raises EnumerationInfeasibleError when they exceed ``cap``.
+    Records with the same observed pattern (``Dataset.patterns``) are
+    exchangeable, so a completion of the hidden column enters only through
+    how many of each pattern's m_k records go to each state.  Each such
+    split (a group) stands for prod_k m_k! / prod_kj n_kj! completions with
+    equal closed form.  There are prod_k C(m_k + c - 1, c - 1) groups,
+    never more than c^N.  Raises EnumerationInfeasibleError when they
+    exceed ``cap``.
     """
     if data.is_complete:
         raise ValueError("data already carries a hidden column; score it "
@@ -143,7 +144,8 @@ def oracle_exact(data: Dataset, spec: ModelSpec, prior: PriorSet,
         raise ValueError("prior and spec describe different models")
     c = spec.hidden_arity
     n = data.n_samples
-    patterns, mult = np.unique(data.rows, axis=0, return_counts=True)
+    patterns = data.patterns.rows
+    mult = data.patterns.weights.astype(np.int64)
     sizes = [math.comb(int(m) + c - 1, c - 1) for m in mult]
     n_groups = math.prod(sizes)
     if n_groups > cap:
@@ -198,36 +200,46 @@ def neg_hessian(coords: np.ndarray, data: Dataset,
 
         -H = chart(diag(v / theta^2)) - sum_j S_j^T diag(post_j) S_j + V^T V.
 
-    The result is made exactly symmetric, which log_det_pd requires.
+    Records with one pattern have equal rows in S_j and V, so the sums run
+    over the K distinct patterns with each score row scaled by sqrt(w), the
+    square root of its multiplicity; V^T V stays a product of one matrix
+    with its own transpose.  The result is made exactly symmetric, which
+    log_det_pd requires.  A point so near the boundary that the products
+    overflow raises NumericalFailureError without numpy warnings.
     """
     params = free_to_params(data.spec, coords)
     layout, c = data.spec.layout, data.spec.hidden_arity
-    theta, n, d = params.values, data.n_samples, layout.free.size
+    theta, d = params.values, layout.free.size
+    patterns = data.patterns
+    root_w = np.sqrt(patterns.weights)[:, None]
     post = e_pass(params, data)[1]
-    curv = ((counts_from_posteriors(post, data).values + prior.values - 1.0)
-            / theta ** 2)
-    score = np.concatenate((np.zeros((n, c)), data.design), axis=1)
-    v_mat = np.zeros((n, d))
+    score = root_w * np.concatenate(
+        (np.zeros((root_w.size, c)), patterns.design), axis=1)
+    v_mat = np.zeros((root_w.size, d))
     a = np.zeros((d, d))
-    for j in range(c):
-        # State j's score lies on the root row and state j's leaf block;
-        # ``at`` places those entries in the columns of ``score``, and the
-        # chart keeps the coordinates whose entries it places.
-        entries = np.concatenate((np.arange(c), layout.block[j]))
-        at = np.full(layout.size, -1)
-        at[entries] = np.arange(entries.size)
-        cols = np.flatnonzero(at[layout.free] >= 0)
-        score[:, :c] = np.arange(c) == j
-        u = score / theta[entries]
-        s = u[:, at[layout.free[cols]]] - u[:, at[layout.free_last[cols]]]
-        w = post[j][:, None] * s
-        a[np.ix_(cols, cols)] -= w.T @ s
-        v_mat[:, cols] += w
-    a += v_mat.T @ v_mat
-    a[np.diag_indices(d)] += curv[layout.free]
-    k, m = np.nonzero(layout.free_last[:, None] == layout.free_last)
-    a[k, m] += curv[layout.free_last[k]]
-    a = (a + a.T) / 2.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        curv = ((counts_from_posteriors(post, data).values + prior.values
+                 - 1.0) / theta ** 2)
+        for j in range(c):
+            # State j's score lies on the root row and state j's leaf
+            # block; ``at`` places those entries in the columns of
+            # ``score``, and the chart keeps the coordinates whose entries
+            # it places.
+            entries = np.concatenate((np.arange(c), layout.block[j]))
+            at = np.full(layout.size, -1)
+            at[entries] = np.arange(entries.size)
+            cols = np.flatnonzero(at[layout.free] >= 0)
+            score[:, :c] = root_w * (np.arange(c) == j)
+            u = score / theta[entries]
+            s = u[:, at[layout.free[cols]]] - u[:, at[layout.free_last[cols]]]
+            w = post[j][:, None] * s
+            a[np.ix_(cols, cols)] -= w.T @ s
+            v_mat[:, cols] += w
+        a += v_mat.T @ v_mat
+        a[np.diag_indices(d)] += curv[layout.free]
+        k, m = np.nonzero(layout.free_last[:, None] == layout.free_last)
+        a[k, m] += curv[layout.free_last[k]]
+        a = (a + a.T) / 2.0
     if not np.all(np.isfinite(a)):
         raise NumericalFailureError("negative Hessian has non-finite entries")
     return a

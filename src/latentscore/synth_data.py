@@ -18,13 +18,23 @@ class DatasetParseError(ValueError):
     """A dataset file failed to parse; the message names the offending line."""
 
 
-def generate_model(spec: ModelSpec, rng: SeededStream) -> ParamSet:
+def generate_model(spec: ModelSpec, rng) -> ParamSet:
     """Draw every simplex row independently from the uniform Dirichlet, with
-    one gamma variate per entry; with c=1 the root row is 1 and draws none."""
-    draws = np.ones(spec.layout.size)
+    one gamma variate per entry; with c=1 the root row is 1 and draws none.
+
+    ``rng`` is one ``SeededStream``, or a sequence of B streams for a
+    ``(B, P)`` stack whose copy b is the set drawn from stream b alone: one
+    gamma draw per stream, then one normalization and one value check for
+    the whole stack.
+    """
+    single = isinstance(rng, SeededStream)
+    streams = [rng] if single else list(rng)
+    draws = np.ones((len(streams), spec.layout.size))
     skip = int(spec.hidden_arity == 1)
-    draws[skip:] = gamma_variates(draws[skip:], rng)
-    return ParamSet.from_values(spec, spec.layout.rows.normalize(draws))
+    for row, stream in zip(draws, streams):
+        row[skip:] = gamma_variates(row[skip:], stream)
+    values = spec.layout.rows.normalize(draws)
+    return ParamSet.from_values(spec, values[0] if single else values)
 
 
 def sample_dataset(model: ParamSet, n_samples: int, rng: SeededStream) -> Dataset:
@@ -60,12 +70,13 @@ def strip_hidden(data: Dataset) -> Dataset:
 def sufficient_stats(data: Dataset) -> StatSet:
     """Integer counts for complete data (incomplete data needs an E step).
 
-    These are ``counts_from_posteriors`` at the indicator posteriors of the
-    hidden column, so complete and expected counts share one kernel.
+    These are ``counts_from_posteriors`` at the indicator posteriors of
+    each (record, hidden state) pattern, so complete and expected counts
+    share one kernel.
     """
     if data.hidden is None:
         raise ValueError("sufficient statistics need complete data")
-    indicators = np.eye(data.spec.hidden_arity)[:, data.hidden]
+    indicators = np.eye(data.spec.hidden_arity)[:, data.patterns.hidden]
     return counts_from_posteriors(indicators, data)
 
 

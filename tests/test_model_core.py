@@ -386,18 +386,20 @@ def test_expected_counts_totals_and_complete_match(make_instance):
 
 
 def _add_at_counts(post, data):
-    # Per-leaf scatter-add: each cell sums its terms in record order.
-    post = np.ascontiguousarray(post.T)
+    # Per-leaf scatter-add of the weighted posteriors: each cell sums its
+    # terms in pattern order.
+    patterns = data.patterns
+    post = np.ascontiguousarray((post * patterns.weights).T)
     leaves = []
     for i, r in enumerate(data.spec.observed_arities):
         table = np.zeros((r, post.shape[1]))
-        np.add.at(table, data.rows[:, i], post)
+        np.add.at(table, patterns.rows[:, i], post)
         leaves.append(table.T.copy())
     return [post.sum(axis=0)[None, :], *leaves]
 
 
 def _bincount_stats(data):
-    # Per-leaf integer counts of (hidden, value) pairs.
+    # Per-leaf integer counts of (hidden, value) pairs, record by record.
     c = data.spec.hidden_arity
     leaves = [np.bincount(data.hidden * r + data.rows[:, i], minlength=c * r)
               .astype(float).reshape(c, r)
@@ -414,7 +416,12 @@ def _bincount_stats(data):
     (ls.ModelSpec((2, 3, 2), 1), 37, True),
 ], ids=["mixed-c3", "n32-c8", "n2-c1", "complete-c3", "complete-c1"])
 def test_counts_equal_per_leaf_references(spec, n_samples, complete):
-    """The count kernel keeps the per-leaf loops' summation order exactly."""
+    """Integer counts (complete data, and c=1 where every posterior is 1)
+    equal the record-by-record tallies exactly.  Fractional counts are
+    sums of K nonnegative terms post * w; the product rounds each term at
+    most once and adds them in BLAS's order, the reference rounds each
+    product and adds in pattern order, so the two agree to within
+    2 (K + 1) u relative, u = 2**-53."""
     model = ls.generate_model(spec, ls.SeededStream(14, 0))
     data = ls.sample_dataset(model, n_samples, ls.SeededStream(14, 1))
     if complete:
@@ -425,8 +432,12 @@ def test_counts_equal_per_leaf_references(spec, n_samples, complete):
         got = counts_from_posteriors(post, data)
         want = _add_at_counts(post, data)
     assert len(got.tables) == len(want)
+    bound = 2 * (data.patterns.weights.size + 1) * 2.0**-53
     for a, b in zip(got.tables, want):
-        assert np.array_equal(a, b)
+        if complete or spec.hidden_arity == 1:
+            assert np.array_equal(a, b)
+        else:
+            assert np.all(np.abs(a - b) <= bound * b)
 
 
 def _spec_data(arities, c, n_samples, seed):
@@ -447,15 +458,39 @@ def _stack(spec, seed, size):
                          ids=["binary-n8", "mixed", "one-leaf"])
 def test_design_is_one_hot_at_offsets(arities):
     spec, data = _spec_data(arities, 2, 50, 15)
-    x = data.design
-    assert x.shape == (50, sum(arities)) and x.dtype == np.float64
-    assert np.array_equal(x.sum(axis=1), np.full(50, len(arities)))
+    patterns = data.patterns
+    # The distinct records in order of first occurrence, with their counts.
+    seen = {}
+    for row in map(tuple, data.rows):
+        seen[row] = seen.get(row, 0) + 1
+    assert np.array_equal(patterns.rows, list(seen))
+    assert np.array_equal(patterns.weights, list(seen.values()))
+    assert patterns.hidden is None
+    k = len(seen)
+    x = patterns.design
+    assert x.shape == (k, sum(arities)) and x.dtype == np.float64
+    assert np.array_equal(x.sum(axis=1), np.full(k, len(arities)))
     offsets = np.cumsum((0,) + arities[:-1])
     want = np.zeros_like(x)
-    for t in range(50):
-        want[t, data.rows[t] + offsets] = 1.0
+    for t in range(k):
+        want[t, patterns.rows[t] + offsets] = 1.0
     assert np.array_equal(x, want)
-    assert data.design is x
+    assert patterns.design_t.flags.c_contiguous
+    assert np.array_equal(patterns.design_t, x.T)
+    ones = np.ones((k, 1))
+    assert np.array_equal(patterns.counts_design,
+                          patterns.weights[:, None] * np.hstack((ones, x)))
+    assert data.patterns is patterns
+
+
+def test_complete_patterns_group_on_record_and_hidden_state():
+    spec = ls.ModelSpec((2, 3), 2)
+    data = ls.Dataset(spec, [[0, 1], [0, 1], [1, 2], [0, 1], [1, 2]],
+                      hidden=[1, 0, 1, 1, 1])
+    patterns = data.patterns
+    assert np.array_equal(patterns.rows, [[0, 1], [0, 1], [1, 2]])
+    assert np.array_equal(patterns.hidden, [1, 0, 1])
+    assert np.array_equal(patterns.weights, [2.0, 1.0, 2.0])
 
 
 @pytest.mark.parametrize("n, c, size", [(8, 2, 64), (8, 4, 64), (8, 8, 64),
@@ -492,19 +527,20 @@ def test_component_scores_equal_strided_gather(arities, c, stacked):
     params = stack if stacked else sets[0]
     # The old gather: fancy indexing into a strided view of each log table,
     # added root first, then the leaves in order.
-    want = np.repeat(np.log(params.root)[..., None, :], data.n_samples,
-                     axis=-2)
+    patterns = data.patterns
+    want = np.repeat(np.log(params.root)[..., None, :],
+                     patterns.weights.size, axis=-2)
     for i, table in enumerate(params.leaves):
-        want += np.swapaxes(np.log(table), -1, -2)[..., data.rows[:, i], :]
+        want += np.swapaxes(np.log(table), -1, -2)[..., patterns.rows[:, i], :]
     want = np.swapaxes(want, -1, -2)
-    got = _component_log_scores(params, data.design)
+    got = _component_log_scores(params, patterns.design_t)
     assert got.shape == want.shape
     bound = 2 * (len(arities) + 1) * 2.0**-53
     assert np.all(np.abs(got - want) <= bound * np.abs(want))
     if stacked:
         for b, one in enumerate(sets):
-            assert np.array_equal(got[b],
-                                  _component_log_scores(one, data.design))
+            alone = _component_log_scores(one, patterns.design_t)
+            assert np.array_equal(got[b], alone)
 
 
 @pytest.mark.parametrize("c", [2, 5, 8])
@@ -552,9 +588,9 @@ def test_e_pass_survives_joints_below_exp_minus_745():
                          ids=["n32-c8-N2000", "n64-c32-N400"])
 def test_counts_near_per_leaf_reference_at_large_shapes(n, c, n_samples):
     """At these shapes the matmul's BLAS summation order differs from
-    record order, so the counts may differ in the last bits.  Each count is
-    a sum of nonnegative terms, so any two orders agree to within
-    2 (N - 1) u relative, u = 2**-53: 4.4e-13 at N=2000."""
+    pattern order, so the counts may differ in the last bits.  Each count
+    is a sum of nonnegative terms, so the two agree to within
+    2 (K + 1) u relative, u = 2**-53: 4.4e-13 at K=2000."""
     spec, data = _spec_data((2,) * n, c, n_samples, 20)
     model = ls.generate_model(spec, ls.SeededStream(21, 0))
     post = e_pass(model, data)[1]
@@ -565,18 +601,22 @@ def test_counts_near_per_leaf_reference_at_large_shapes(n, c, n_samples):
 
 
 @pytest.mark.parametrize("arities, c, n_samples", [
-    ((2,) * 8, 4, 300), ((2,) * 8, 4, 333), ((2, 3, 5), 1, 300),
-    ((2,) * 8, 1, 333),
-], ids=["n8-c4-N300", "n8-c4-N333", "c1-N300", "c1-N333"])
+    ((2,) * 8, 4, 400), ((2,) * 8, 4, 300), ((2,) * 8, 4, 333),
+    ((2, 3, 5), 1, 300), ((2,) * 8, 1, 333), ((2,) * 8, 1, 400),
+], ids=["n8-c4-N400", "n8-c4-N300", "n8-c4-N333", "c1-N300", "c1-N333",
+        "c1-N400"])
 def test_stacked_e_pass_and_counts_equal_one_set_at_a_time(arities, c,
                                                           n_samples):
     """At these shapes one product for the whole stack would round some
-    copies differently from the product for that copy alone."""
+    copies differently from the product for that copy alone.  Every shape
+    repeats records, so the pass runs over fewer patterns than records."""
     spec, data = _spec_data(arities, c, n_samples, 25)
+    k = data.patterns.weights.size
+    assert k < n_samples
     sets, stack = _stack(spec, 26, 16)
     ll, post = e_pass(stack, data)
     counts = counts_from_posteriors(post, data)
-    assert post.shape == (16, c, n_samples)
+    assert post.shape == (16, c, k)
     for b, params in enumerate(sets):
         ll_one, post_one = e_pass(params, data)
         assert ll[b] == ll_one
@@ -586,17 +626,20 @@ def test_stacked_e_pass_and_counts_equal_one_set_at_a_time(arities, c,
 
 
 def _records_by_states_e_pass(params, data):
-    # The (N, c) E pass that the (c, N) layout replaced, inline.
-    log_theta = np.log(np.take(params.values, params.spec.layout.block,
-                               axis=-1))
-    scores = (np.log(params.root)[..., None, :]
-              + data.design @ np.swapaxes(log_theta, -1, -2))
+    # The (K, c) E pass that the (c, K) layout replaced, inline, on the
+    # component scores that test_component_scores_equal_strided_gather
+    # checks.
+    from latentscore.model_core import _component_log_scores
+    patterns = data.patterns
+    scores = np.swapaxes(_component_log_scores(params, patterns.design_t),
+                         -1, -2).copy()
     top = scores.max(axis=-1, keepdims=True)
     scores -= top
     np.exp(scores, out=scores)
     total = scores.sum(axis=-1, keepdims=True)
     scores /= total
-    return (np.log(total) + top)[..., 0].sum(axis=-1), scores
+    return (((np.log(total) + top)[..., 0] * patterns.weights).sum(axis=-1),
+            scores)
 
 
 @pytest.mark.parametrize("arities, c", [
@@ -606,8 +649,8 @@ def _records_by_states_e_pass(params, data):
 @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
 def test_e_pass_below_eight_states_keeps_the_records_by_states_bits(
         arities, c, stacked):
-    """Below 8 states numpy sums a record's c terms left to right, as the
-    (c, N) total down the rows does, so nothing moves a bit."""
+    """Below 8 states numpy sums a pattern's c terms left to right, as the
+    (c, K) total down the rows does, so nothing moves a bit."""
     spec, data = _spec_data(arities, c, 400, 27)
     sets, stack = _stack(spec, 28, 8)
     params = stack if stacked else sets[0]
@@ -617,16 +660,30 @@ def test_e_pass_below_eight_states_keeps_the_records_by_states_bits(
     assert np.array_equal(post, np.swapaxes(want_post, -1, -2))
 
 
+def _pattern_of_each_record(data):
+    index = {tuple(row): k for k, row in enumerate(data.patterns.rows)}
+    return np.array([index[tuple(row)] for row in data.rows])
+
+
 @pytest.mark.parametrize("n, c", [(8, 4), (8, 8), (32, 9)],
                          ids=["n8-c4", "n8-c8", "n32-c9"])
-def test_root_counts_are_record_order_sums(n, c):
+def test_root_counts_are_weighted_posterior_totals(n, c):
+    """Each state's root count is the sum, over the records, of the
+    posterior of the record's pattern.  The weighted product adds K
+    nonnegative terms post * w, so it agrees with the record-order sum to
+    within 2 N u relative, u = 2**-53.  A stack's root counts are the
+    bits of each copy's own."""
     spec, data = _spec_data((2,) * n, c, 400, 29)
     sets, stack = _stack(spec, 30, 4)
     post = e_pass(stack, data)[1]
     want = np.zeros((4, c))
-    for t in range(data.n_samples):
-        want += post[..., t]
-    assert np.array_equal(counts_from_posteriors(post, data).root, want)
+    for k in _pattern_of_each_record(data):
+        want += post[..., k]
+    got = counts_from_posteriors(post, data).root
+    assert np.all(np.abs(got - want) <= 2 * 400 * 2.0**-53 * want)
+    for b, params in enumerate(sets):
+        alone = counts_from_posteriors(e_pass(params, data)[1], data).root
+        assert np.array_equal(got[b], alone)
 
 
 def test_dataset_rejects_non_integral_states():
@@ -663,6 +720,8 @@ def test_align_hidden_arity(make_instance):
     aligned = align_hidden_arity(spec5, data)
     assert aligned.spec == spec5
     assert aligned.rows is data.rows
+    # The pattern cache carries over: it does not depend on the arity.
+    assert aligned.patterns is data.patterns
 
     complete = ls.sample_dataset(ls.generate_model(spec, ls.SeededStream(16, 0)),
                                  5, ls.SeededStream(16, 1))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,15 +210,102 @@ def _hessian_instance(spec, n_samples, seed=11):
 
 MIXED = ls.ModelSpec((2, 3, 5, 9, 12), 3)
 
+HESSIAN_SHAPES = pytest.mark.parametrize("spec, n_samples", [
+    (ls.binary_spec(8, 4), 400),
+    (ls.binary_spec(8, 4), 2000),
+    (ls.binary_spec(3, 2), 20000),
+    (MIXED, 400),
+    (ls.ModelSpec((2, 3, 5), 1), 400),
+], ids=["n8-c4", "n8-c4-N2000", "n3-c2-N20000", "mixed-arities", "c1"])
+
+
+def _record_by_record(params, data, prior=None):
+    """Log likelihood, counts and (for incomplete data and a prior) -H with
+    one row per record: no grouping into patterns."""
+    spec, c = params.spec, params.spec.hidden_arity
+    layout, theta = spec.layout, params.values
+    arities = spec.observed_arities
+    x = np.zeros((data.n_samples, sum(arities)))
+    np.put_along_axis(x, data.rows + np.cumsum((0,) + arities[:-1]), 1.0,
+                      axis=1)
+    scores = np.log(params.root)[:, None] + np.log(theta[layout.block]) @ x.T
+    if data.is_complete:
+        ll = float(scores[data.hidden, np.arange(data.n_samples)].sum())
+        post = np.eye(c)[:, data.hidden]
+    else:
+        marginal = logsumexp(scores, axis=0)
+        ll, post = float(marginal.sum()), np.exp(scores - marginal)
+    counts = np.empty(layout.size)
+    counts[:c] = post.sum(axis=1)
+    counts[layout.block] = post @ x
+    if prior is None:
+        return ll, counts, None
+    # -H by the Louis identity, one score row per record and state.
+    d = layout.free.size
+    a = np.zeros((d, d))
+    v_mat = np.zeros((data.n_samples, d))
+    for j in range(c):
+        u = np.zeros((data.n_samples, layout.size))
+        u[:, j] = 1.0 / theta[j]
+        u[:, layout.block[j]] = x / theta[layout.block[j]]
+        s = u[:, layout.free] - u[:, layout.free_last]
+        a -= (post[j][:, None] * s).T @ s
+        v_mat += post[j][:, None] * s
+    curv = (counts + prior.values - 1.0) / theta ** 2
+    a += v_mat.T @ v_mat + np.diag(curv[layout.free])
+    a += (layout.free_last[:, None] == layout.free_last) * curv[
+        layout.free_last][:, None]
+    return ll, counts, a
+
+
+def _duplicated_and_permuted(data, seed):
+    """The data as drawn, every record twice, and the records shuffled."""
+    perm = np.random.default_rng(seed).permutation(data.n_samples)
+    hidden = data.hidden
+
+    def rebuilt(order):
+        return ls.Dataset(data.spec, data.rows[order],
+                          None if hidden is None else hidden[order])
+
+    return [data, rebuilt(np.tile(np.arange(data.n_samples), 2)),
+            rebuilt(perm)]
+
+
+def _assert_close(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestPatternsMatchRecordByRecord:
+    """The passes over distinct patterns give what one row per record
+    gives, within 1e-12 relative (to the largest entry for -H)."""
+
+    @HESSIAN_SHAPES
+    def test_incomplete(self, spec, n_samples):
+        data, prior, x = _hessian_instance(spec, n_samples)
+        params = ls.free_to_params(spec, x)
+        for each in _duplicated_and_permuted(data, 12):
+            ll, counts, a = _record_by_record(params, each, prior)
+            _assert_close(ls.log_likelihood(params, each), ll)
+            _assert_close(ls.e_step(params, each).values, counts)
+            _assert_close(neg_hessian(x, each, prior), a)
+        k = data.patterns.weights.size
+        assert k < n_samples or spec == MIXED
+
+    @pytest.mark.parametrize("spec", [ls.ModelSpec((2, 3, 2), 3),
+                                      ls.ModelSpec((2, 3, 2), 1)],
+                             ids=["c3", "c1"])
+    def test_complete(self, spec):
+        model = ls.generate_model(spec, ls.SeededStream(13, 0))
+        data = ls.sample_dataset(model, 200, ls.SeededStream(13, 1))
+        for each in _duplicated_and_permuted(data, 13):
+            ll, counts, _ = _record_by_record(model, each)
+            _assert_close(ls.log_likelihood(model, each), ll)
+            assert np.array_equal(ls.sufficient_stats(each).values, counts)
+
 
 class TestNegHessian:
-    @pytest.mark.parametrize("spec, n_samples", [
-        (ls.binary_spec(8, 4), 400),
-        (ls.binary_spec(8, 4), 2000),
-        (ls.binary_spec(3, 2), 20000),
-        (MIXED, 400),
-        (ls.ModelSpec((2, 3, 5), 1), 400),
-    ], ids=["n8-c4", "n8-c4-N2000", "n3-c2-N20000", "mixed-arities", "c1"])
+    @HESSIAN_SHAPES
     def test_central_differences_converge_to_closed_form(self, spec,
                                                          n_samples):
         data, prior, x = _hessian_instance(spec, n_samples)
@@ -230,6 +318,14 @@ class TestNegHessian:
         x[0] = 1e-200
         with pytest.raises(NumericalFailureError):
             neg_hessian(x, data, prior)
+
+    def test_boundary_failure_raises_without_warnings(self):
+        data, prior, x = _hessian_instance(ls.binary_spec(8, 4), 400)
+        x[0] = 1e-200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError):
+                neg_hessian(x, data, prior)
 
     def test_single_coordinate_closed_form(self):
         # c=1 with one binary leaf: g = a log t + b log(1-t) under a uniform
@@ -480,13 +576,13 @@ class TestScoreReport:
         passes = []
         score_rows = model_core._component_log_scores
 
-        def counted(params, rows):
-            passes.append(rows.shape[0])
-            return score_rows(params, rows)
+        def counted(params, design_t):
+            passes.append(design_t.shape[1])
+            return score_rows(params, design_t)
 
         monkeypatch.setattr(model_core, "_component_log_scores", counted)
         ls.score_report(em, data, prior, measures=("bic", "draper", "mled", "cs"))
-        assert passes == [data.n_samples]
+        assert passes == [data.patterns.weights.size]
 
     def test_complete_data_rejected(self, make_instance):
         spec, data, prior, em = self._fitted(make_instance, seed=92)

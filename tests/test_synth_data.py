@@ -70,6 +70,28 @@ class TestGenerateModel:
             rows = [ls.sample_dirichlet(np.ones(r), rng) for _ in range(c)]
             assert np.array_equal(table, np.array(rows))
 
+    @pytest.mark.parametrize("spec", [ls.binary_spec(8, 4),
+                                      ls.ModelSpec((2, 3, 5, 9, 12), 3),
+                                      ls.ModelSpec((2, 3), 1)],
+                             ids=["n8-c4", "mixed-c3", "c1"])
+    def test_stack_of_streams_equals_one_draw_per_stream(self, spec,
+                                                         monkeypatch):
+        streams = [ls.SeededStream(34, 0).child(k) for k in range(16)]
+        checks = []
+        check = ls.ParamSet._check_values
+
+        def counted(self, values):
+            checks.append(values.shape)
+            return check(self, values)
+
+        monkeypatch.setattr(ls.ParamSet, "_check_values", counted)
+        stack = ls.generate_model(spec, streams)
+        assert checks == [(16, spec.layout.size)]
+        for b, stream in enumerate(streams):
+            alone = ls.generate_model(spec, ls.SeededStream(
+                stream.master_seed, stream.stream_index))
+            assert np.array_equal(stack.values[b], alone.values)
+
     def test_flat_dirichlet_mean(self):
         # averaging many independently generated root rows approaches uniform
         spec = ls.binary_spec(1, 4)
