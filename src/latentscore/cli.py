@@ -74,9 +74,9 @@ def _cmd_train(args) -> int:
     if data.is_complete:
         data = strip_hidden(data)
     spec = ModelSpec(data.spec.observed_arities, args.c)
-    prior = PriorSet.symmetric(spec, 1.0 + args.epsilon)
-    config = EmConfig(mode=args.mode)
-    em = fit(data, spec, prior, config, SeededStream(args.seed, 0))
+    prior = (PriorSet.symmetric(spec, 1.0 + args.epsilon)
+             if args.mode == "map" else None)
+    em = fit(data, spec, prior, EmConfig(), SeededStream(args.seed, 0))
     write_model(em.params, args.out, extra={"metadata": result_metadata(em)})
     print(f"wrote {args.out} (converged={em.converged}, "
           f"iterations={em.iterations_used}, g={em.final_g!r})")
@@ -169,7 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hidden arity of the model to fit")
     p.add_argument("--epsilon", type=float, default=0.01,
                    help="prior is Dirichlet(1 + epsilon)")
-    p.add_argument("--mode", choices=("map", "ml"), default="map")
+    p.add_argument("--mode", choices=("map", "ml"), default="map",
+                   help="map: maximize log likelihood + log prior; ml: "
+                        "maximize the log likelihood (no prior, so "
+                        "--epsilon is unused)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="model.json")
     p.set_defaults(func=_cmd_train)

@@ -1,10 +1,11 @@
 """EM fitting of the hidden-root model with tournament initialization.
 
 ``run_em`` alternates expectation and maximization steps on incomplete data
-until the objective's relative change drops below a tolerance.  The objective
-is ``g = log p(D|theta) + log p(theta)`` in MAP mode and the plain log
-likelihood in ML mode; each iteration increases it, so traces are monotone
-up to floating-point noise.
+until the objective's relative change drops below a tolerance.  The prior
+argument picks the objective: with a Dirichlet ``PriorSet`` it is
+``g = log p(D|theta) + log p(theta)`` (MAP), and with ``prior=None`` the
+plain log likelihood (ML).  Each iteration increases it, so traces are
+monotone up to floating-point noise.
 
 ``tournament_init`` spreads a power-of-two field of random restarts over a
 halving schedule: every surviving copy runs twice as many iterations as in
@@ -55,16 +56,14 @@ class StarvedRowError(ValueError):
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Knobs for the EM loop and its initialization."""
+    """Knobs for the EM loop and its initialization.  The prior passed to a
+    fit picks its objective: MAP under a ``PriorSet``, ML under None."""
 
-    mode: str = "map"
     rel_tol: float = 1e-5
     max_iters_after_init: int = 200
     tournament_start: int = 64
 
     def __post_init__(self):
-        if self.mode not in ("map", "ml"):
-            raise ValueError("mode must be 'map' or 'ml'")
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
         if self.max_iters_after_init < 1:
@@ -109,7 +108,7 @@ def m_step_map(stats: StatSet, prior: PriorSet) -> ParamSet:
     if stats.spec != prior.spec:
         raise ValueError("statistics and prior describe different models")
     rows = stats.spec.layout.rows
-    denom = rows.sum(stats.values) + rows.sum(prior.values) - rows.lengths
+    denom = rows.sum(stats.values) + prior.row_totals - rows.lengths
     if np.any(denom <= 0.0):
         raise DegeneratePriorError(
             "posterior-mode update undefined: row count + alpha total <= arity")
@@ -127,81 +126,59 @@ def m_step_ml(stats: StatSet) -> ParamSet:
     return _clamped(stats.spec, stats.values / rows.expand(denom))
 
 
+_AT_START = "non-finite at the initial parameters"
+
+
 def _evaluate(params: ParamSet, data: Dataset, prior: PriorSet | None,
-              mode: str):
-    """One E pass: objective values plus the posteriors."""
+              where: str):
+    """One E pass: objective values plus the posteriors.
+
+    The objective is g with a prior and the log likelihood without one.
+    A non-finite value anywhere in a stack raises, naming ``where``.
+    """
     g, post = e_pass(params, data)
-    if mode == "map":
+    if prior is not None:
         g += log_prior(params, prior)
+    if not np.all(np.isfinite(g)):
+        raise NumericalFailureError(f"objective {where}")
     return g, post
 
 
-@dataclass
-class _Run:
-    """Where an EM run stands: a single set or a stack of parameter sets,
-    with their objectives and posteriors."""
-
-    params: ParamSet
-    g: float | np.ndarray
-    post: np.ndarray | None
-
-
-def _start(params: ParamSet, data: Dataset, prior: PriorSet | None,
-           mode: str) -> _Run:
-    """The E pass at the initial parameters, where ``_em_loop`` begins."""
-    g, post = _evaluate(params, data, prior, mode)
-    if not np.all(np.isfinite(g)):
-        raise NumericalFailureError("objective non-finite at the initial "
-                                    "parameters")
-    return _Run(params, g, post)
-
-
-def _one_m_step(post: np.ndarray, data: Dataset, prior: PriorSet | None,
-                mode: str) -> ParamSet:
-    stats = counts_from_posteriors(post, data)
-    if mode == "map":
-        return m_step_map(stats, prior)
-    return m_step_ml(stats)
-
-
-def _check_fit_inputs(data: Dataset, prior: PriorSet | None,
-                      config: EmConfig) -> None:
+def _check_fit_inputs(data: Dataset, prior: PriorSet | None) -> None:
     if data.is_complete:
         raise ValueError("EM expects incomplete data; complete data has "
                          "closed-form estimates")
-    if config.mode == "map":
-        if prior is None:
-            raise ValueError("MAP mode needs a prior")
-        if prior.spec != data.spec:
-            raise ValueError("prior and data describe different models")
+    if prior is not None and prior.spec != data.spec:
+        raise ValueError("prior and data describe different models")
 
 
-def _em_loop(run: _Run, data: Dataset, prior: PriorSet | None, mode: str,
-             max_iters: int, rel_tol: float):
+def _em_loop(params: ParamSet, g, post: np.ndarray, data: Dataset,
+             prior: PriorSet | None, max_iters: int, rel_tol: float):
     """The EM loop behind ``run_em`` and every tournament round.
 
-    Advances ``run`` in place and returns (g trace, converged).  The loop
-    stops once every copy's relative change is below ``rel_tol``;
-    ``rel_tol=0.0`` disables that, so exactly ``max_iters`` M steps run.
+    Starts from ``params`` with its objective ``g`` and posteriors ``post``
+    (one set or a stack) and returns (params, posteriors, g trace,
+    converged) at the last point.  The loop stops once every copy's
+    relative change is below ``rel_tol``; ``rel_tol=0.0`` disables that,
+    so exactly ``max_iters`` M steps run.
     """
-    trace = [run.g]
+    trace = [g]
     for it in range(1, max_iters + 1):
-        params = _one_m_step(run.post, data, prior, mode)
-        # Drop the only reference to the old posteriors before the next
+        stats = counts_from_posteriors(post, data)
+        params = (m_step_ml(stats) if prior is None
+                  else m_step_map(stats, prior))
+        # Drop the loop's reference to the old posteriors before the next
         # E pass builds new ones.
-        run.post = None
-        g, run.post = _evaluate(params, data, prior, mode)
-        if not np.all(np.isfinite(g)):
-            raise NumericalFailureError(
-                f"objective became non-finite at iteration {it}")
-        run.params, run.g = params, g
+        post = None
+        g, post = _evaluate(params, data, prior,
+                            f"became non-finite at iteration {it}")
         trace.append(g)
         prev = trace[-2]
         change = abs(g - prev)
         rel = change / np.where(prev == 0.0, 1.0, abs(prev))
         if np.all(rel < rel_tol):
-            return trace, True
-    return trace, False
+            return params, post, trace, True
+    return params, post, trace, False
 
 
 def run_em(init: ParamSet, data: Dataset, prior: PriorSet | None,
@@ -210,15 +187,17 @@ def run_em(init: ParamSet, data: Dataset, prior: PriorSet | None,
 
     Convergence: |g_t - g_{t-1}| / |g_{t-1}| < rel_tol, falling back to the
     absolute change when the previous value is exactly zero.  The trace
-    records the objective at ``init`` and after every M step.
+    records the objective at ``init`` and after every M step: g under
+    ``prior``, or the log likelihood with ``m_step_ml`` when ``prior`` is
+    None.
     """
-    _check_fit_inputs(data, prior, config)
+    _check_fit_inputs(data, prior)
     if init.spec != data.spec:
         raise ValueError("initial parameters and data describe different models")
-    run = _start(init, data, prior, config.mode)
-    trace, converged = _em_loop(run, data, prior, config.mode,
-                                config.max_iters_after_init, config.rel_tol)
-    return EmResult(params=run.params, final_g=trace[-1], converged=converged,
+    params, _, trace, converged = _em_loop(
+        init, *_evaluate(init, data, prior, _AT_START), data, prior,
+        config.max_iters_after_init, config.rel_tol)
+    return EmResult(params=params, final_g=trace[-1], converged=converged,
                     iterations_used=len(trace) - 1, g_trace=trace)
 
 
@@ -230,30 +209,33 @@ def tournament_init(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
     than ``data.spec`` carries.  Copy ``i`` draws its start from
     ``rng.child(i)``, so the result depends only on the stream, not on
     evaluation order.  Each round is one ``_em_loop`` run on the stack of
-    surviving copies.
+    surviving copies, ranked by g under ``prior`` or, when ``prior`` is
+    None, by the log likelihood.
     """
     data = align_hidden_arity(spec, data)
-    _check_fit_inputs(data, prior, config)
-    starts = generate_model(spec, [rng.child(idx)
+    _check_fit_inputs(data, prior)
+    params = generate_model(spec, [rng.child(idx)
                                    for idx in range(config.tournament_start)])
-    run = _start(starts, data, prior, config.mode)
+    g, post = _evaluate(params, data, prior, _AT_START)
     idx = np.arange(config.tournament_start)
     iters = 1
     while idx.size > 1:
-        _em_loop(run, data, prior, config.mode, iters, 0.0)
+        params, post, trace, _ = _em_loop(params, g, post, data, prior,
+                                          iters, 0.0)
         # Best objective first; a tie goes to the lower start index.
-        keep = np.lexsort((idx, -run.g))[:idx.size // 2]
+        keep = np.lexsort((idx, -trace[-1]))[:idx.size // 2]
         idx = idx[keep]
-        run = _Run(ParamSet.from_values(spec, run.params.values[keep]),
-                   run.g[keep], run.post[keep])
+        params = ParamSet.from_values(spec, params.values[keep])
+        g, post = trace[-1][keep], post[keep]
         iters *= 2
-    return ParamSet.from_values(spec, run.params.values[0])
+    return ParamSet.from_values(spec, params.values[0])
 
 
 def fit(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
         config: EmConfig | None = None,
         rng: SeededStream | None = None) -> EmResult:
-    """Tournament initialization followed by the full EM loop."""
+    """Tournament initialization followed by the full EM loop: the MAP fit
+    under ``prior``, or the ML fit when ``prior`` is None."""
     if config is None:
         config = EmConfig()
     if rng is None:

@@ -161,7 +161,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     tasks = [(rep, tc) for rep in range(config.replicates)
              for tc in config.test_arities]
-    em_cfg = EmConfig(mode="map")
+    em_cfg = EmConfig()
 
     def run_cell(k: int, rep: int, tc: int) -> CellResult:
         spec_fit = ModelSpec(spec_true.observed_arities, tc)

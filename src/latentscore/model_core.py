@@ -251,11 +251,17 @@ class PriorSet(TableSet):
             raise ValueError("Dirichlet hyperparameters must be positive")
 
     @cached_property
+    def row_totals(self) -> np.ndarray:
+        """Each row's alpha total, in row order.  Built on first use; a
+        prior never changes after it is made."""
+        return self.spec.layout.rows.sum(self.values)
+
+    @cached_property
     def log_normalizers(self) -> np.ndarray:
         """Each row's log Gamma(sum alpha) - sum log Gamma(alpha), in row
-        order.  Built on first use; a prior never changes after it is made."""
-        rows = self.spec.layout.rows
-        return gammaln(rows.sum(self.values)) - rows.sum(gammaln(self.values))
+        order."""
+        return (gammaln(self.row_totals)
+                - self.spec.layout.rows.sum(gammaln(self.values)))
 
     @classmethod
     def symmetric(cls, spec: ModelSpec, alpha: float) -> "PriorSet":

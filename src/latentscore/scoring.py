@@ -79,7 +79,7 @@ def fractional_bd(stats: StatSet, prior: PriorSet) -> float:
     if stats.spec != prior.spec:
         raise ValueError("statistics and prior describe different models")
     rows = stats.spec.layout.rows
-    a0 = rows.sum(prior.values)
+    a0 = prior.row_totals
     terms = (gammaln(a0) - gammaln(a0 + rows.sum(stats.values))
              + rows.sum(gammaln(prior.values + stats.values)
                         - gammaln(prior.values)))

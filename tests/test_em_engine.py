@@ -7,6 +7,7 @@ from latentscore import em_engine
 from latentscore.em_engine import DegeneratePriorError, StarvedRowError
 from latentscore.model_core import (clamp_rows, counts_from_posteriors,
                                     e_pass, log_prior)
+from latentscore.numerics import NumericalFailureError
 
 # Highest objective value found by a dense grid search over the five free
 # coordinates of the (n=2 binary leaves, c=2, alpha=1.01) instance built from
@@ -27,14 +28,11 @@ def _tiny_instance():
 class TestEmConfig:
     def test_defaults(self):
         cfg = ls.EmConfig()
-        assert cfg.mode == "map"
         assert cfg.rel_tol == 1e-5
         assert cfg.max_iters_after_init == 200
         assert cfg.tournament_start == 64
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ls.EmConfig(mode="bayes")
         with pytest.raises(ValueError):
             ls.EmConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
@@ -188,7 +186,7 @@ class TestRunEm:
         spec, data, _ = make_instance(seed=46, n=3, c=1, n_samples=20)
         complete = ls.Dataset(spec, data.rows, hidden=np.zeros(20, dtype=int))
         ml = ls.m_step_ml(ls.sufficient_stats(complete))
-        res = ls.run_em(ml, data, None, ls.EmConfig(mode="ml"))
+        res = ls.run_em(ml, data, None, ls.EmConfig())
         assert res.converged
         assert res.iterations_used <= 2
         for a, b in zip(res.params.leaves, ml.leaves):
@@ -227,17 +225,48 @@ class TestRunEm:
         with pytest.raises(ValueError):
             ls.run_em(model, complete, prior, ls.EmConfig())
 
-    def test_map_mode_needs_prior(self, make_instance):
-        spec, data, _ = make_instance(seed=49)
-        init = ls.generate_model(spec, ls.SeededStream(50, 0))
-        with pytest.raises(ValueError):
-            ls.run_em(init, data, None, ls.EmConfig(mode="map"))
-
     def test_ml_mode_trace_monotone(self, make_instance):
         spec, data, _ = make_instance(seed=51, n=3, c=2, n_samples=40)
         init = ls.generate_model(spec, ls.SeededStream(52, 0))
-        res = ls.run_em(init, data, None, ls.EmConfig(mode="ml"))
+        res = ls.run_em(init, data, None, ls.EmConfig())
         assert np.all(np.diff(res.g_trace) >= -1e-9)
+
+    @pytest.mark.parametrize("with_prior", [True, False])
+    def test_objective_follows_the_prior(self, make_instance, with_prior):
+        # A prior makes the objective g; prior=None makes it the log
+        # likelihood.  Both reported values are those functions' own bits.
+        spec, data, prior = make_instance(seed=66, n=4, c=3, n_samples=60)
+        prior = prior if with_prior else None
+
+        def objective(params):
+            if prior is None:
+                return ls.log_likelihood(params, data)
+            return ls.log_posterior_g(params, data, prior)
+
+        init = ls.generate_model(spec, ls.SeededStream(67, 0))
+        cfg = ls.EmConfig(tournament_start=4)
+        apart = ls.run_em(init, data, prior, cfg)
+        assert apart.g_trace[0] == objective(init)
+        fitted = ls.fit(data, spec, prior, cfg, ls.SeededStream(67, 1))
+        for res in (apart, fitted):
+            assert res.final_g == objective(res.params)
+
+    def test_non_finite_objective_at_the_start_raises(self, make_instance):
+        # alpha = 1e308 overflows every row's log normalizer, so g is not
+        # finite at any parameters, the starts included.
+        spec, data, _ = make_instance(seed=68, n=3, c=2, n_samples=20)
+        prior = ls.PriorSet.symmetric(spec, 1e308)
+        init = ls.generate_model(spec, ls.SeededStream(69, 0))
+        cfg = ls.EmConfig(tournament_start=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.any(np.isfinite(prior.log_normalizers))
+            with pytest.raises(NumericalFailureError,
+                               match="non-finite at the initial parameters"):
+                ls.run_em(init, data, prior, cfg)
+            with pytest.raises(NumericalFailureError,
+                               match="non-finite at the initial parameters"):
+                ls.tournament_init(data, spec, prior, cfg,
+                                   ls.SeededStream(69, 1))
 
 
 class TestTournament:
@@ -346,7 +375,7 @@ class TestFit:
     def test_fit_is_tournament_then_run_em(self, make_instance, mode):
         spec, data, prior = make_instance(seed=62, n=8, c=4, n_samples=200)
         prior = prior if mode == "map" else None
-        cfg = ls.EmConfig(mode=mode, tournament_start=8)
+        cfg = ls.EmConfig(tournament_start=8)
         init = ls.tournament_init(data, spec, prior, cfg,
                                   ls.SeededStream(63, 0))
         apart = ls.run_em(init, data, prior, cfg)
@@ -462,14 +491,14 @@ def test_stacked_em_matches_per_copy_reference(monkeypatch, arities, c,
     drawn = ls.sample_dataset(truth, n_samples, ls.SeededStream(seed, 1))
     data = ls.Dataset(spec, drawn.rows)
     prior = ls.PriorSet.symmetric(spec, 1.01) if mode == "map" else None
-    config = ls.EmConfig(mode=mode, tournament_start=start)
+    config = ls.EmConfig(tournament_start=start)
 
     runs = []
     loop = em_engine._em_loop
 
-    def recorded(run, *args):
-        out = loop(run, *args)
-        runs.append((run.params, run.g))
+    def recorded(*args):
+        out = loop(*args)
+        runs.append((out[0], out[2][-1]))
         return out
 
     monkeypatch.setattr(em_engine, "_em_loop", recorded)
@@ -529,9 +558,10 @@ def test_stack_with_a_starved_start_raises_its_error():
         _reference_loop(starved, data, None, "ml", 1, 0.0)
     _reference_loop(fine, data, None, "ml", 1, 0.0)
 
-    run = em_engine._start(_stack([fine, starved, fine]), data, None, "ml")
+    stack = _stack([fine, starved, fine])
+    g, post = em_engine._evaluate(stack, data, None, em_engine._AT_START)
     with pytest.raises(StarvedRowError):
-        em_engine._em_loop(run, data, None, "ml", 1, 0.0)
+        em_engine._em_loop(stack, g, post, data, None, 1, 0.0)
 
 
 def test_stacked_m_step_checks_every_copy():
