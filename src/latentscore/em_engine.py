@@ -100,8 +100,9 @@ def e_step(params: ParamSet, data: Dataset) -> StatSet:
 # the result is ``clamp_rows`` applied row by row to the packed values.
 
 def _clamped(spec: ModelSpec, values: np.ndarray) -> ParamSet:
-    return ParamSet.from_values(spec, spec.layout.rows.normalize(
-        np.clip(values, PARAM_FLOOR, 1.0 - PARAM_FLOOR)))
+    """Clamp and renormalize the M step's own temporary in place."""
+    np.clip(values, PARAM_FLOOR, 1.0 - PARAM_FLOOR, out=values)
+    return ParamSet.from_values(spec, spec.layout.rows.normalize(values))
 
 def m_step_map(stats: StatSet, prior: PriorSet) -> ParamSet:
     """Row-wise posterior mode: (counts + alpha - 1) / (total + alpha0 - r)."""
@@ -109,7 +110,7 @@ def m_step_map(stats: StatSet, prior: PriorSet) -> ParamSet:
         raise ValueError("statistics and prior describe different models")
     rows = stats.spec.layout.rows
     denom = rows.sum(stats.values) + prior.row_totals - rows.lengths
-    if np.any(denom <= 0.0):
+    if (denom <= 0.0).any():
         raise DegeneratePriorError(
             "posterior-mode update undefined: row count + alpha total <= arity")
     return _clamped(stats.spec, (stats.values + prior.values - 1.0)
@@ -120,7 +121,7 @@ def m_step_ml(stats: StatSet) -> ParamSet:
     """Row-wise relative frequencies of the expected counts."""
     rows = stats.spec.layout.rows
     denom = rows.sum(stats.values)
-    if np.any(denom <= 0.0):
+    if (denom <= 0.0).any():
         raise StarvedRowError("a row has zero expected count; its maximum-"
                               "likelihood update is undefined")
     return _clamped(stats.spec, stats.values / rows.expand(denom))
@@ -139,7 +140,7 @@ def _evaluate(params: ParamSet, data: Dataset, prior: PriorSet | None,
     g, post = e_pass(params, data)
     if prior is not None:
         g += log_prior(params, prior)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericalFailureError(f"objective {where}")
     return g, post
 
@@ -159,25 +160,27 @@ def _em_loop(params: ParamSet, g, post: np.ndarray, data: Dataset,
     Starts from ``params`` with its objective ``g`` and posteriors ``post``
     (one set or a stack) and returns (params, posteriors, g trace,
     converged) at the last point.  The loop stops once every copy's
-    relative change is below ``rel_tol``; ``rel_tol=0.0`` disables that,
-    so exactly ``max_iters`` M steps run.
+    relative change is below ``rel_tol``; with ``rel_tol=0.0`` no change
+    can be, so the test is skipped and exactly ``max_iters`` M steps run.
+    A caller that holds no reference to ``post`` lets the loop free it
+    after the first M step.
     """
     trace = [g]
     for it in range(1, max_iters + 1):
         stats = counts_from_posteriors(post, data)
         params = (m_step_ml(stats) if prior is None
                   else m_step_map(stats, prior))
-        # Drop the loop's reference to the old posteriors before the next
-        # E pass builds new ones.
-        post = None
+        # Drop the loop's references to the old posteriors and counts
+        # before the next E pass builds new ones.
+        post = stats = None
         g, post = _evaluate(params, data, prior,
                             f"became non-finite at iteration {it}")
         trace.append(g)
-        prev = trace[-2]
-        change = abs(g - prev)
-        rel = change / np.where(prev == 0.0, 1.0, abs(prev))
-        if np.all(rel < rel_tol):
-            return params, post, trace, True
+        if rel_tol > 0.0:
+            prev = trace[-2]
+            rel = abs(g - prev) / np.where(prev == 0.0, 1.0, abs(prev))
+            if (rel < rel_tol).all():
+                return params, post, trace, True
     return params, post, trace, False
 
 
@@ -217,18 +220,25 @@ def tournament_init(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
     params = generate_model(spec, [rng.child(idx)
                                    for idx in range(config.tournament_start)])
     g, post = _evaluate(params, data, prior, _AT_START)
+    # Between rounds the carried parameters and posteriors live only in
+    # ``carried``.  Each round pops them into the call, so the loop holds
+    # the only references and frees them after its first M step instead of
+    # keeping them beside the new point.
+    carried = [params, post]
+    del params, post
     idx = np.arange(config.tournament_start)
     iters = 1
     while idx.size > 1:
-        params, post, trace, _ = _em_loop(params, g, post, data, prior,
-                                          iters, 0.0)
+        *carried, trace, _ = _em_loop(carried.pop(0), g, carried.pop(), data,
+                                      prior, iters, 0.0)
         # Best objective first; a tie goes to the lower start index.
         keep = np.lexsort((idx, -trace[-1]))[:idx.size // 2]
         idx = idx[keep]
-        params = ParamSet.from_values(spec, params.values[keep])
-        g, post = trace[-1][keep], post[keep]
+        g = trace[-1][keep]
+        carried = [ParamSet.from_values(spec, carried[0].values[keep]),
+                   carried[1][keep]]
         iters *= 2
-    return ParamSet.from_values(spec, params.values[0])
+    return ParamSet.from_values(spec, carried[0].values[0])
 
 
 def fit(data: Dataset, spec: ModelSpec, prior: PriorSet | None,

@@ -85,9 +85,14 @@ class Segments:
     ``sum`` gives each segment the bits of ``.sum(axis=-1)`` on it as a row
     of its own array: the segments of one length are reshaped to
     ``(..., k, length)``, sliced when they lie side by side and gathered by
-    a contiguous ``np.take`` otherwise.  Rows of 8 or more entries are
-    summed on their unit-stride axis, which numpy does pairwise; shorter
-    rows, which numpy sums left to right, add their columns in that order.
+    a contiguous ``np.take`` otherwise, and summed by one ufunc call per
+    length.  Rows of 8 or more entries are summed by ``.sum`` on their
+    unit-stride axis, which numpy does pairwise.  numpy sums a shorter row
+    left to right from 0.0: rows of 2 are one add, written into the output
+    when they lie side by side, and rows of 1 or 3 to 7 one left-to-right
+    ``np.add.accumulate`` whose last column is the total.  Adding the 0.0
+    last gives the same bits as adding it first, the sign of a zero total
+    included (a row of -0.0 sums to +0.0).
     """
 
     def __init__(self, lengths):
@@ -110,22 +115,24 @@ class Segments:
             part = (values[..., cols] if isinstance(cols, slice)
                     else np.take(values, cols, axis=-1))
             part = part.reshape(stack + (-1, r))
-            if r < 8:
-                # numpy sums a row this short left to right from 0.0;
-                # adding whole columns makes the same additions at once.
-                total = part[..., 0] + 0.0
-                for k in range(1, r):
-                    total += part[..., k]
-                out[..., segs] = total
-            else:
+            if r >= 8:
                 out[..., segs] = part.sum(axis=-1)
+            elif r == 2 and isinstance(segs, slice):
+                np.add(part[..., 0], part[..., 1], out=out[..., segs])
+            else:
+                out[..., segs] = np.add.accumulate(part, axis=-1)[..., -1]
+        # The 0.0 that numpy starts a row from: it turns a -0.0 total, which
+        # only a row of -0.0 gives, into +0.0 and leaves every other total.
+        out += 0.0
         return out
 
     def expand(self, per_segment: np.ndarray) -> np.ndarray:
         return np.repeat(per_segment, self.lengths, axis=-1)
 
     def normalize(self, values: np.ndarray) -> np.ndarray:
-        return values / self.expand(self.sum(values))
+        """Divide each segment by its sum, in place; returns ``values``."""
+        values /= self.expand(self.sum(values))
+        return values
 
 
 class Layout:
@@ -233,21 +240,31 @@ class TableSet:
 
 
 class ParamSet(TableSet):
-    """Full conditional probability tables; every row is a simplex."""
+    """Full conditional probability tables; every row is a simplex.
+
+    A set's values are never written after wrapping: every operation that
+    moves a point makes a new set.  So ``log_values`` is computed once per
+    point and shared by the E pass and ``log_prior``.
+    """
 
     def _check_values(self, values):
-        if np.any(values <= 0.0) or np.any(values > 1.0):
+        if (values <= 0.0).any() or (values > 1.0).any():
             raise ValueError("probabilities must lie in (0, 1]")
         sums = self.spec.layout.rows.sum(values)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
+        if (np.abs(sums - 1.0) > ROW_SUM_TOL).any():
             raise ValueError("simplex row does not sum to 1")
+
+    @cached_property
+    def log_values(self) -> np.ndarray:
+        """``np.log(values)``, built on first use."""
+        return np.log(self.values)
 
 
 class PriorSet(TableSet):
     """Dirichlet hyperparameters mirroring a ParamSet's shape."""
 
     def _check_values(self, values):
-        if np.any(values <= 0.0):
+        if (values <= 0.0).any():
             raise ValueError("Dirichlet hyperparameters must be positive")
 
     @cached_property
@@ -274,7 +291,7 @@ class StatSet(TableSet):
     mirroring a ParamSet's shape."""
 
     def _check_values(self, values):
-        if np.any(values < 0):
+        if (values < 0).any():
             raise ValueError("statistics must be non-negative")
 
     @property
@@ -437,11 +454,10 @@ def _component_log_scores(params: ParamSet,
     side by side.  A stack gets one product per copy, of the same shape as
     the product for that copy alone.
     """
-    log_theta = np.log(np.take(params.values, params.spec.layout.block,
-                               axis=-1))
-    scores = log_theta @ design_t
+    log_values = params.log_values
+    scores = np.take(log_values, params.spec.layout.block, axis=-1) @ design_t
     # In place: a second (c, K) array would cost more than the addition.
-    scores += np.log(params.root)[..., :, None]
+    scores += log_values[..., :params.spec.hidden_arity, None]
     return scores
 
 
@@ -497,10 +513,10 @@ def log_prior(params: ParamSet, prior: PriorSet) -> float:
     """
     if params.spec != prior.spec:
         raise ValueError("params and prior describe different models")
-    if np.any(params.values <= 0.0):
+    if (params.values <= 0.0).any():
         raise ValueError("prior density needs interior parameters")
     terms = prior.log_normalizers + params.spec.layout.rows.sum(
-        (prior.values - 1.0) * np.log(params.values))
+        (prior.values - 1.0) * params.log_values)
     # cumsum adds strictly left to right, so the row terms are summed in
     # table order, row by row, with no pairwise regrouping.
     return _scalar(np.cumsum(terms, axis=-1)[..., -1])

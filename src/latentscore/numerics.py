@@ -89,9 +89,14 @@ def sample_dirichlet(alphas, rng: SeededStream) -> np.ndarray:
     return draws / draws.sum(axis=-1, keepdims=True)
 
 
+# Gamma variates are clamped below at this, so that no Dirichlet component
+# is exactly zero.
+GAMMA_FLOOR = 1e-300
+
+
 def gamma_variates(alphas: np.ndarray, rng: SeededStream) -> np.ndarray:
-    """Gamma(alpha, 1) variates in C order, clamped below at 1e-300."""
-    return np.maximum(rng.generator.standard_gamma(alphas), 1e-300)
+    """Gamma(alpha, 1) variates in C order, clamped below at GAMMA_FLOOR."""
+    return np.maximum(rng.generator.standard_gamma(alphas), GAMMA_FLOOR)
 
 
 def log_det_pd(matrix: np.ndarray) -> float:

@@ -98,7 +98,7 @@ def bd_complete(stats: StatSet, prior: PriorSet) -> float:
 
 def _expected_complete_loglik(params: ParamSet, stats: StatSet) -> float:
     """sum over all cells of E[N] * log theta, table by table in order."""
-    terms = stats.values * np.log(params.values)
+    terms = stats.values * params.log_values
     return float(np.cumsum(params.spec.layout.tables.sum(terms))[-1])
 
 

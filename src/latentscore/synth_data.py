@@ -11,7 +11,7 @@ import numpy as np
 
 from .model_core import (Dataset, ModelSpec, ParamSet, StatSet,
                          counts_from_posteriors)
-from .numerics import SeededStream, gamma_variates
+from .numerics import GAMMA_FLOOR, SeededStream
 
 
 class DatasetParseError(ValueError):
@@ -20,19 +20,23 @@ class DatasetParseError(ValueError):
 
 def generate_model(spec: ModelSpec, rng) -> ParamSet:
     """Draw every simplex row independently from the uniform Dirichlet, with
-    one gamma variate per entry; with c=1 the root row is 1 and draws none.
+    one Gamma(1, 1) variate per entry; with c=1 the root row is 1 and draws
+    none.
 
     ``rng`` is one ``SeededStream``, or a sequence of B streams for a
     ``(B, P)`` stack whose copy b is the set drawn from stream b alone: one
-    gamma draw per stream, then one normalization and one value check for
-    the whole stack.
+    ``standard_gamma(1.0)`` fill per stream, the same variates as
+    ``gamma_variates`` on a shape array of ones, then one clamp at
+    ``GAMMA_FLOOR``, one normalization and one value check for the whole
+    stack.
     """
     single = isinstance(rng, SeededStream)
     streams = [rng] if single else list(rng)
     draws = np.ones((len(streams), spec.layout.size))
     skip = int(spec.hidden_arity == 1)
     for row, stream in zip(draws, streams):
-        row[skip:] = gamma_variates(row[skip:], stream)
+        stream.generator.standard_gamma(1.0, out=row[skip:])
+    np.maximum(draws, GAMMA_FLOOR, out=draws)
     values = spec.layout.rows.normalize(draws)
     return ParamSet.from_values(spec, values[0] if single else values)
 

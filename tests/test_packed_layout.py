@@ -22,7 +22,8 @@ def _per_segment(values, lengths):
                      for r, e in zip(lengths, ends)], axis=-1)
 
 
-@pytest.mark.parametrize("stack", [(), (64,)], ids=["one", "stack"])
+@pytest.mark.parametrize("stack", [(), (2,), (64,)],
+                         ids=["one", "two", "stack"])
 @pytest.mark.parametrize("arities, c", [
     (ALL_ARITIES, 1), (ALL_ARITIES, 3), (ALL_ARITIES, 8),
     ((12, 2, 9, 3), 9), ((12, 2, 9, 3), 3), ((2,) * 8, 2),
@@ -37,11 +38,18 @@ def test_segment_sums_equal_separate_row_sums(arities, c, stack):
              (layout.table_rows, 1 + len(arities) * c)]
     for k, (segments, total) in enumerate(cases):
         assert segments.lengths.sum() == total
-        values = _values(stack + (total,), seed=k + 10 * c)
-        got = segments.sum(values)
-        want = _per_segment(values, segments.lengths)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        spread = _values(stack + (total,), seed=k + 10 * c)
+        zeros = np.zeros_like(spread)
+        # Rows of all -0.0, of all +0.0 and of both signs sum to zero.
+        # numpy starts a row sum from +0.0, and only the sign of a zero
+        # total shows whether that start was kept.
+        for values in (spread, -zeros, zeros, np.copysign(zeros, spread)):
+            got = segments.sum(values)
+            want = _per_segment(values, segments.lengths)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            # array_equal holds -0.0 equal to +0.0; the sign bits are not.
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_side_by_side_rows_are_sliced_and_apart_rows_gathered():
@@ -96,6 +104,38 @@ def test_from_values_wraps_without_a_copy():
         ls.StatSet.from_values(spec, model.values[:-1])
     with pytest.raises(ValueError, match="expected"):
         ls.StatSet.from_values(spec, model.values[None, None])
+
+
+def _param_sets(spec):
+    """A ParamSet from each way one is built: the constructor,
+    ``from_values``, ``from_tables`` (one set and a stack of 3), both M
+    steps and ``free_to_params``."""
+    model = ls.generate_model(spec, ls.SeededStream(35, 0))
+    stack = _stacked(spec, 3)
+    prior = ls.PriorSet.symmetric(spec, 1.5)
+    stats = ls.StatSet.from_values(spec, 40.0 * stack.values)
+    return {
+        "constructor": ls.ParamSet(spec, model.root, model.leaves),
+        "from_values": ls.ParamSet.from_values(spec, model.values.copy()),
+        "from_tables": ls.ParamSet.from_tables(spec, model.tables),
+        "from_tables-stack": ls.ParamSet.from_tables(spec, stack.tables),
+        "m_step_map-stack": ls.m_step_map(stats, prior),
+        "m_step_ml": ls.m_step_ml(ls.StatSet.from_values(
+            spec, 40.0 * model.values)),
+        "free_to_params": ls.free_to_params(spec, ls.params_to_free(model)),
+    }
+
+
+@pytest.mark.parametrize("arities, c", [((2,) * 8, 4), ((2, 3, 5, 9, 12), 3),
+                                        ((2, 3), 1)],
+                         ids=["binary-n8-c4", "mixed-c3", "c1"])
+def test_param_set_caches_the_log_of_its_values(arities, c):
+    # The E pass and log_prior read the cached log in place of np.log.
+    for how, params in _param_sets(ls.ModelSpec(arities, c)).items():
+        cached = params.log_values
+        assert cached is params.log_values, how
+        assert np.array_equal(cached, np.log(params.values)), how
+        assert cached.shape == params.values.shape, how
 
 
 @pytest.mark.parametrize("arities, c", [((2,) * 8, 4), ((2, 3, 5, 9, 12), 3),

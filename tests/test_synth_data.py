@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import latentscore as ls
+from latentscore.numerics import gamma_variates
 from latentscore.synth_data import DatasetParseError
 
 
@@ -91,6 +92,30 @@ class TestGenerateModel:
             alone = ls.generate_model(spec, ls.SeededStream(
                 stream.master_seed, stream.stream_index))
             assert np.array_equal(stack.values[b], alone.values)
+
+    @pytest.mark.parametrize("spec", [ls.binary_spec(8, 4),
+                                      ls.ModelSpec((2, 3, 5, 9, 12), 3),
+                                      ls.ModelSpec((2, 3), 1)],
+                             ids=["n8-c4", "mixed-c3", "c1"])
+    @pytest.mark.parametrize("n_streams", [None, 1, 16],
+                             ids=["stream", "one-of-many", "many"])
+    def test_draw_equals_gamma_variates_on_ones(self, spec, n_streams):
+        # The recipe every seed was drawn with: per stream, gamma_variates
+        # on a shape array of ones (the root skipped at c=1), then every
+        # row normalized.
+        def streams():
+            return [ls.SeededStream(36, 0).child(k)
+                    for k in range(n_streams or 1)]
+
+        got = ls.generate_model(spec, streams()[0] if n_streams is None
+                                else streams())
+        skip = int(spec.hidden_arity == 1)
+        draws = np.ones((n_streams or 1, spec.layout.size))
+        for row, stream in zip(draws, streams()):
+            row[skip:] = gamma_variates(np.ones(row.size - skip), stream)
+        want = spec.layout.rows.normalize(draws)
+        assert np.array_equal(got.values,
+                              want[0] if n_streams is None else want)
 
     def test_flat_dirichlet_mean(self):
         # averaging many independently generated root rows approaches uniform
