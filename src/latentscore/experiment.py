@@ -191,6 +191,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     started = perf_counter()
     cells = [run_cell(k, rep, tc) for k, (rep, tc) in enumerate(tasks)]
     log.info("sweep finished in %.3fs", perf_counter() - started)
+    for measure in config.measures:
+        log.info("sweep: %s failed in %d of %d cells", measure,
+                 sum(measure in cell.failures for cell in cells), len(cells))
     return SweepResult(config=config, true_model=true_model, cells=cells)
 
 

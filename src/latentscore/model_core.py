@@ -42,7 +42,8 @@ from functools import cached_property
 import json
 
 import numpy as np
-from scipy.special import gammaln
+
+from .numerics import gammaln
 
 ROW_SUM_TOL = 1e-9
 
@@ -274,11 +275,21 @@ class PriorSet(TableSet):
         return self.spec.layout.rows.sum(self.values)
 
     @cached_property
+    def log_gamma_values(self) -> np.ndarray:
+        """log Gamma of every alpha, built on first use."""
+        return gammaln(self.values)
+
+    @cached_property
+    def log_gamma_row_totals(self) -> np.ndarray:
+        """log Gamma of each row's alpha total, built on first use."""
+        return gammaln(self.row_totals)
+
+    @cached_property
     def log_normalizers(self) -> np.ndarray:
         """Each row's log Gamma(sum alpha) - sum log Gamma(alpha), in row
         order."""
-        return (gammaln(self.row_totals)
-                - self.spec.layout.rows.sum(gammaln(self.values)))
+        return (self.log_gamma_row_totals
+                - self.spec.layout.rows.sum(self.log_gamma_values))
 
     @classmethod
     def symmetric(cls, spec: ModelSpec, alpha: float) -> "PriorSet":

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .em_engine import EmResult, e_step
 from .model_core import (
@@ -47,6 +46,7 @@ from .model_core import (
 from .numerics import (
     NotPositiveDefiniteError,
     NumericalFailureError,
+    gammaln,
     log_det_pd,
 )
 
@@ -79,10 +79,13 @@ def fractional_bd(stats: StatSet, prior: PriorSet) -> float:
     if stats.spec != prior.spec:
         raise ValueError("statistics and prior describe different models")
     rows = stats.spec.layout.rows
-    a0 = prior.row_totals
-    terms = (gammaln(a0) - gammaln(a0 + rows.sum(stats.values))
-             + rows.sum(gammaln(prior.values + stats.values)
-                        - gammaln(prior.values)))
+    n_rows = prior.row_totals.size
+    # One gammaln call takes every count-dependent argument, the row totals
+    # first; the prior's own terms are cached on it.
+    lg = gammaln(np.concatenate((prior.row_totals + rows.sum(stats.values),
+                                 prior.values + stats.values)))
+    terms = (prior.log_gamma_row_totals - lg[:n_rows]
+             + rows.sum(lg[n_rows:] - prior.log_gamma_values))
     # cumsum adds the table totals strictly left to right, as a running
     # total over the tables would.
     return float(np.cumsum(stats.spec.layout.table_rows.sum(terms))[-1])
@@ -113,15 +116,28 @@ def _splits(m: int, c: int) -> list[list[int]]:
     return [[k, *rest] for k in range(m + 1) for rest in _splits(m - k, c - 1)]
 
 
+def _log_rising_table(alpha: np.ndarray, n: int) -> np.ndarray:
+    """(len(alpha), n + 1) table of log Gamma(alpha_j + k) - log Gamma(alpha_j)
+    for k = 0..n, as the running sums over t < k of log(alpha_j + t)."""
+    table = np.zeros((alpha.size, n + 1))
+    np.cumsum(np.log(alpha[:, None] + np.arange(n)), axis=1, out=table[:, 1:])
+    return table
+
+
 def _log_rising(alpha: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
     """sum_j log Gamma(alpha_j + counts[j]) - log Gamma(alpha_j), per group.
 
-    ``counts`` is (c, groups) with integer entries in 0..n, so each gamma
-    term is a lookup in a table over 0..n.
+    ``counts`` is (c, groups) with integer entries in 0..n, so each term is
+    a lookup in ``_log_rising_table``.
     """
-    table = gammaln(alpha[:, None] + np.arange(n + 1))
-    return (sum(row.take(k) for row, k in zip(table, counts))
-            - gammaln(alpha).sum())
+    table = _log_rising_table(alpha, n)
+    return sum(row.take(k) for row, k in zip(table, counts))
+
+
+def _logsumexp(values: np.ndarray) -> float:
+    """log sum exp(values) for finite values, shifted by their largest."""
+    top = values.max()
+    return float(top + np.log(np.exp(values - top).sum()))
 
 
 def oracle_exact(data: Dataset, spec: ModelSpec, prior: PriorSet,
@@ -158,7 +174,7 @@ def oracle_exact(data: Dataset, spec: ModelSpec, prior: PriorSet,
     # Counts never exceed N, so the smallest integer type holding N keeps
     # the (c, groups) count arrays small.
     dtype = np.min_scalar_type(n)
-    log_fact = gammaln(np.arange(n + 1) + 1.0)
+    log_fact = _log_rising_table(np.ones(1), n)[0]
     total = np.full(n_groups, float(log_fact[mult].sum()))
     root = np.zeros((c, n_groups), dtype=dtype)
     leaf = [np.zeros((r, c, n_groups), dtype=dtype)
@@ -174,13 +190,14 @@ def oracle_exact(data: Dataset, spec: ModelSpec, prior: PriorSet,
         for table, v in zip(leaf, pattern):
             table[v] += counts
 
-    ra0 = float(prior.root.sum())
-    total += gammaln(ra0) - gammaln(ra0 + n) + _log_rising(prior.root, root, n)
+    ra0 = prior.root.sum(keepdims=True)
+    total -= _log_rising_table(ra0, n)[0, n]
+    total += _log_rising(prior.root, root, n)
     for alphas, table in zip(prior.leaves, leaf):
         total -= _log_rising(alphas.sum(axis=1), root, n)
         for v in range(alphas.shape[1]):
             total += _log_rising(alphas[:, v], table[v], n)
-    return float(logsumexp(total))
+    return _logsumexp(total)
 
 
 # ---------------------------------------------------------------------------

@@ -364,3 +364,53 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         for name in ("generate", "train", "score", "sweep", "report"):
             assert name in proc.stdout
+
+
+# Drives every subcommand in a fresh interpreter where importing scipy fails.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from latentscore.cli import main
+out = sys.argv[1]
+steps = [
+    ["generate", "--n", "3", "--c", "2", "--samples", "20", "--seed", "5",
+     "--out-model", out + "/truth.json", "--out-data", out + "/data.csv"],
+    ["train", "--data", out + "/data.csv", "--c", "2", "--seed", "5",
+     "--out", out + "/model.json"],
+    ["score", "--data", out + "/data.csv", "--model", out + "/model.json",
+     "--oracle", "--out", out + "/scores.csv"],
+    ["sweep", "--n", "3", "--c-true", "2", "--samples", "20", "--test-c",
+     "1:3", "--replicates", "1", "--seed", "5", "--out", out + "/sweep"],
+    ["report", "--run", out + "/sweep/run.json", "--out", out + "/again"],
+]
+for argv in steps:
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited with {code}")
+"""
+
+
+class TestWithoutScipy:
+    """The library's runtime dependency is numpy alone."""
+
+    def test_import_loads_no_scipy_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, latentscore, latentscore.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        header, row = (tmp_path / "scores.csv").read_text().splitlines()
+        scores = dict(zip(header.split(","), map(float, row.split(","))))
+        assert set(scores) == set(MEASURES) | {"oracle"}
+        assert all(math.isfinite(v) for v in scores.values())
+        for name in ("curves.csv", "selection.csv", "summary.csv"):
+            assert ((tmp_path / "again" / name).read_bytes()
+                    == (tmp_path / "sweep" / name).read_bytes())

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import threading
 
 import numpy as np
@@ -177,6 +178,21 @@ class TestRunSweep:
         for cell in result.cells:
             assert "oracle" in cell.scores
             assert np.isfinite(cell.scores["oracle"])
+
+    def test_logs_failed_cells_per_measure(self, caplog):
+        # At c=3 the oracle's groups of completions exceed its cap, so it
+        # fails in one cell per replicate and the other measures in none.
+        config = _tiny_config(measures=("laplace", "bic", "oracle"))
+        with caplog.at_level(logging.INFO, logger="latentscore.experiment"):
+            result = ls.run_sweep(config)
+        failed = {m: [c.test_c for c in result.cells if m in c.failures]
+                  for m in config.measures}
+        assert failed == {"laplace": [], "bic": [], "oracle": [3, 3]}
+        lines = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.INFO and "failed in" in r.getMessage()]
+        assert lines == ["sweep: laplace failed in 0 of 6 cells",
+                         "sweep: bic failed in 0 of 6 cells",
+                         "sweep: oracle failed in 2 of 6 cells"]
 
     def test_rerun_byte_identical(self, tmp_path):
         config = _tiny_config()

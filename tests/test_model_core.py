@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 import latentscore as ls
+from latentscore.numerics import gammaln
 from latentscore.model_core import (align_hidden_arity, clamp_rows,
                                     counts_from_posteriors, e_pass,
                                     expected_counts)

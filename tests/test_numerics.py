@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln as scipy_gammaln
 
 from latentscore import (
     NotPositiveDefiniteError,
@@ -9,6 +11,26 @@ from latentscore import (
     log_det_pd,
     sample_dirichlet,
 )
+from latentscore.numerics import gammaln
+
+
+def _gammaln_arguments() -> np.ndarray:
+    """Arguments from 1e-300 to 1e300, dense where log Gamma is small and
+    where the library takes it: Dirichlet totals 1.01 + counts, integers
+    (log factorials), and both sides of the shift at 16."""
+    rng = np.random.default_rng(107)
+    return np.concatenate([
+        10.0 ** rng.uniform(-300, 300, 20000),
+        10.0 ** rng.uniform(-300, 0.5, 5000),
+        rng.uniform(0.0, 3.0, 20000),
+        1.0 + rng.uniform(-1e-3, 1e-3, 2000),
+        2.0 + rng.uniform(-1e-3, 1e-3, 2000),
+        1.01 + np.arange(2000.0),
+        1.01 + rng.uniform(0.0, 400.0, 2000),
+        np.arange(1.0, 2001.0),
+        16.0 + rng.uniform(-1e-6, 1e-6, 200),
+        [1e-300, 3.0, 15.999999999999998, 16.0, 1e300],
+    ])
 
 
 class TestSampleDirichlet:
@@ -93,3 +115,47 @@ class TestSeededStream:
     def test_child_index_validation(self):
         with pytest.raises(ValueError):
             SeededStream(0, 0).child(-1)
+
+
+class TestGammaln:
+    def test_matches_scipy(self):
+        x = _gammaln_arguments()
+        want = scipy_gammaln(x)
+        err = np.abs(gammaln(x) - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() <= 1e-13
+
+    def test_each_entry_depends_on_its_argument_alone(self):
+        # The log prior's cached normalizers are checked bit for bit against
+        # a row-by-row formula, which holds only if an entry's bits do not
+        # depend on the array around it.
+        x = _gammaln_arguments()[::50]
+        alone = np.array([gammaln(v) for v in x])
+        assert np.array_equal(gammaln(x), alone)
+        assert np.array_equal(gammaln(x[::-1]), alone[::-1])
+
+    def test_shapes(self):
+        one = gammaln(2.5)
+        assert np.ndim(one) == 0 and isinstance(one, np.floating)
+        assert one == gammaln(np.array([2.5]))[0]
+        assert gammaln(np.float64(7.0)) == pytest.approx(math.log(720.0),
+                                                         rel=1e-15)
+        grid = np.array([[0.5, 1.0, 17.5], [1e-300, 2.0, 1e300]])
+        out = gammaln(grid)
+        assert out.shape == (2, 3)
+        assert np.array_equal(out.ravel(), gammaln(grid.ravel()))
+        assert gammaln(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_inf_at_overflow_and_at_inf(self):
+        with np.errstate(over="ignore"):
+            assert gammaln(1e308) == np.inf
+        assert gammaln(np.inf) == np.inf
+        with np.errstate(over="ignore"):
+            out = gammaln(np.array([1e308, np.inf, 3.0]))
+        assert np.array_equal(out[:2], [np.inf, np.inf])
+        assert out[2] == pytest.approx(math.log(2.0), rel=1e-13)
+
+    def test_no_warning_for_finite_arguments_up_to_1e300(self):
+        x = _gammaln_arguments()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.all(np.isfinite(gammaln(x)))

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 import latentscore as ls
 from latentscore import scoring
@@ -129,6 +129,38 @@ class TestOracleExact:
         expected = float(logsumexp(terms))
         assert ls.oracle_exact(data, spec, prior) == pytest.approx(
             expected, abs=1e-12)
+
+    def test_tables_and_logsumexp_match_scipy_at_n40(self, make_instance,
+                                                      monkeypatch):
+        # The oracle builds log Gamma(alpha + k) - log Gamma(alpha) and log k!
+        # as running sums of logs; check every table it builds, and its
+        # log-sum-exp over the groups, against scipy.
+        spec, data, flat = make_instance(seed=163, n=3, c=2, n_samples=40)
+        rng = np.random.default_rng(163)
+        prior = ls.PriorSet.from_tables(
+            spec, [rng.uniform(0.5, 3.0, t.shape) for t in flat.tables])
+        tables, totals = [], []
+        real_table, real_lse = scoring._log_rising_table, scoring._logsumexp
+
+        def table(alpha, n):
+            tables.append((alpha.copy(), n, real_table(alpha, n)))
+            return tables[-1][2]
+
+        def lse(values):
+            totals.append(values.copy())
+            return real_lse(values)
+
+        monkeypatch.setattr(scoring, "_log_rising_table", table)
+        monkeypatch.setattr(scoring, "_logsumexp", lse)
+        value = ls.oracle_exact(data, spec, prior)
+        assert {n for _, n, _ in tables} == {40}
+        assert any(np.array_equal(alpha, [1.0]) for alpha, _, _ in tables)
+        for alpha, n, got in tables:
+            want = (gammaln(alpha[:, None] + np.arange(n + 1))
+                    - gammaln(alpha)[:, None])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        assert len(totals) == 1 and totals[0].size > 1000
+        assert value == pytest.approx(float(logsumexp(totals[0])), rel=1e-12)
 
     def test_c1_equals_forced_completion(self, make_instance):
         spec, data, prior = make_instance(seed=74, n=3, c=1, n_samples=12)
