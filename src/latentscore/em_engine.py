@@ -101,12 +101,13 @@ def e_step(params: ParamSet, data: Dataset) -> StatSet:
 
 def _clamped(spec: ModelSpec, values: np.ndarray) -> ParamSet:
     """Clamp and renormalize the M step's own temporary in place."""
-    np.clip(values, PARAM_FLOOR, 1.0 - PARAM_FLOOR, out=values)
+    np.maximum(values, PARAM_FLOOR, out=values)
+    np.minimum(values, 1.0 - PARAM_FLOOR, out=values)
     return ParamSet.from_values(spec, spec.layout.rows.normalize(values))
 
 def m_step_map(stats: StatSet, prior: PriorSet) -> ParamSet:
     """Row-wise posterior mode: (counts + alpha - 1) / (total + alpha0 - r)."""
-    if stats.spec != prior.spec:
+    if stats.spec is not prior.spec and stats.spec != prior.spec:
         raise ValueError("statistics and prior describe different models")
     rows = stats.spec.layout.rows
     denom = rows.sum(stats.values) + prior.row_totals - rows.lengths
@@ -149,7 +150,8 @@ def _check_fit_inputs(data: Dataset, prior: PriorSet | None) -> None:
     if data.is_complete:
         raise ValueError("EM expects incomplete data; complete data has "
                          "closed-form estimates")
-    if prior is not None and prior.spec != data.spec:
+    if (prior is not None and prior.spec is not data.spec
+            and prior.spec != data.spec):
         raise ValueError("prior and data describe different models")
 
 
@@ -195,7 +197,7 @@ def run_em(init: ParamSet, data: Dataset, prior: PriorSet | None,
     None.
     """
     _check_fit_inputs(data, prior)
-    if init.spec != data.spec:
+    if init.spec is not data.spec and init.spec != data.spec:
         raise ValueError("initial parameters and data describe different models")
     params, _, trace, converged = _em_loop(
         init, *_evaluate(init, data, prior, _AT_START), data, prior,

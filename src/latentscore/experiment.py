@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from time import perf_counter
@@ -90,8 +91,8 @@ class ExperimentConfig:
             raise ValueError("test_c_range must satisfy 1 <= low <= high")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not self.measures:
             raise ValueError("measures must be non-empty")
         check_measures(self.measures)

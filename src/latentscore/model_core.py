@@ -89,16 +89,22 @@ class Segments:
     a contiguous ``np.take`` otherwise, and summed by one ufunc call per
     length.  Rows of 8 or more entries are summed by ``.sum`` on their
     unit-stride axis, which numpy does pairwise.  numpy sums a shorter row
-    left to right from 0.0: rows of 2 are one add, written into the output
-    when they lie side by side, and rows of 1 or 3 to 7 one left-to-right
-    ``np.add.accumulate`` whose last column is the total.  Adding the 0.0
-    last gives the same bits as adding it first, the sign of a zero total
-    included (a row of -0.0 sums to +0.0).
+    left to right from 0.0: rows of 2 are one add, of the two strided
+    columns written into the output when they lie side by side, and rows
+    of 1 or 3 to 7 one left-to-right ``np.add.accumulate`` whose last
+    column is the total.  Adding the 0.0 last gives the same bits as adding
+    it first, the sign of a zero total included (a row of -0.0 sums to
+    +0.0).  ``expand`` repeats each segment's value over its entries by one
+    ``np.take`` through a cached index.
     """
 
     def __init__(self, lengths):
         self.lengths = lengths = np.asarray(lengths)
         starts = np.cumsum(lengths) - lengths
+        self._expand = np.repeat(np.arange(lengths.size), lengths)
+        # Every segment's total is written by its group, except an empty
+        # segment's, which stays 0.0.
+        self._new = np.zeros if (lengths == 0).any() else np.empty
         self._groups = []
         for r in np.unique(lengths[lengths > 0]):
             segs = np.flatnonzero(lengths == r)
@@ -109,17 +115,21 @@ class Segments:
             self._groups.append((segs, cols, r))
 
     def sum(self, values: np.ndarray) -> np.ndarray:
-        values = np.ascontiguousarray(values)
+        if not values.flags.c_contiguous:
+            values = np.ascontiguousarray(values)
         stack = values.shape[:-1]
-        out = np.zeros(stack + self.lengths.shape)
+        out = self._new(stack + self.lengths.shape)
         for segs, cols, r in self._groups:
+            if r == 2 and isinstance(segs, slice):
+                np.add(values[..., cols.start:cols.stop:2],
+                       values[..., cols.start + 1:cols.stop:2],
+                       out=out[..., segs])
+                continue
             part = (values[..., cols] if isinstance(cols, slice)
-                    else np.take(values, cols, axis=-1))
+                    else values.take(cols, axis=-1))
             part = part.reshape(stack + (-1, r))
             if r >= 8:
                 out[..., segs] = part.sum(axis=-1)
-            elif r == 2 and isinstance(segs, slice):
-                np.add(part[..., 0], part[..., 1], out=out[..., segs])
             else:
                 out[..., segs] = np.add.accumulate(part, axis=-1)[..., -1]
         # The 0.0 that numpy starts a row from: it turns a -0.0 total, which
@@ -128,7 +138,7 @@ class Segments:
         return out
 
     def expand(self, per_segment: np.ndarray) -> np.ndarray:
-        return np.repeat(per_segment, self.lengths, axis=-1)
+        return per_segment.take(self._expand, axis=-1)
 
     def normalize(self, values: np.ndarray) -> np.ndarray:
         """Divide each segment by its sum, in place; returns ``values``."""
@@ -143,7 +153,9 @@ class Layout:
     ``free_rows`` the free coordinates.  ``free`` and ``last`` index the
     free entries and each row's last one, and ``free_last`` gives each free
     coordinate its row's last entry; ``block`` gathers the ``(c, R)`` leaf
-    tables side by side, in the design's column order.
+    tables side by side, in the design's column order.  ``counts`` gathers
+    the packed entries from a flattened ``(c, 1 + R)`` count product: the
+    root from its first column, the leaf tables from the rest.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -160,6 +172,11 @@ class Layout:
         before = (np.cumsum(arities) - arities)[leaf]
         self.block = (c + (c - 1) * before + np.arange(leaf.size)
                       + np.arange(c)[:, None] * arities[leaf])
+        width = 1 + leaf.size
+        self.counts = np.empty(self.size, dtype=np.intp)
+        self.counts[:c] = np.arange(c) * width
+        self.counts[self.block] = (np.arange(c)[:, None] * width + 1
+                                   + np.arange(leaf.size))
 
 
 def binary_spec(n_observed: int, hidden_arity: int) -> ModelSpec:
@@ -203,8 +220,11 @@ class TableSet:
     @classmethod
     def from_values(cls, spec: ModelSpec, values):
         """Wrap packed values, without a copy if already C-contiguous."""
+        if not (type(values) is np.ndarray and values.dtype == np.float64
+                and values.flags.c_contiguous):
+            values = np.ascontiguousarray(values, dtype=float)
         obj = cls.__new__(cls)
-        obj._wrap(spec, np.ascontiguousarray(values, dtype=float))
+        obj._wrap(spec, values)
         return obj
 
     def _wrap(self, spec: ModelSpec, values: np.ndarray) -> None:
@@ -249,10 +269,11 @@ class ParamSet(TableSet):
     """
 
     def _check_values(self, values):
-        if (values <= 0.0).any() or (values > 1.0).any():
+        # Each rule is a test that NaN fails.
+        if not ((values > 0.0) & (values <= 1.0)).all():
             raise ValueError("probabilities must lie in (0, 1]")
         sums = self.spec.layout.rows.sum(values)
-        if (np.abs(sums - 1.0) > ROW_SUM_TOL).any():
+        if not (np.abs(sums - 1.0) <= ROW_SUM_TOL).all():
             raise ValueError("simplex row does not sum to 1")
 
     @cached_property
@@ -265,8 +286,15 @@ class PriorSet(TableSet):
     """Dirichlet hyperparameters mirroring a ParamSet's shape."""
 
     def _check_values(self, values):
-        if (values <= 0.0).any():
-            raise ValueError("Dirichlet hyperparameters must be positive")
+        if not ((values > 0.0) & (values < np.inf)).all():
+            raise ValueError(
+                "Dirichlet hyperparameters must be positive and finite")
+
+    @cached_property
+    def less_one(self) -> np.ndarray:
+        """``values - 1.0``, the exponents of the density; built on first
+        use."""
+        return self.values - 1.0
 
     @cached_property
     def row_totals(self) -> np.ndarray:
@@ -302,7 +330,7 @@ class StatSet(TableSet):
     mirroring a ParamSet's shape."""
 
     def _check_values(self, values):
-        if (values < 0).any():
+        if not (values >= 0.0).all():
             raise ValueError("statistics must be non-negative")
 
     @property
@@ -403,7 +431,7 @@ def align_hidden_arity(spec: ModelSpec, data: Dataset) -> Dataset:
     assumed number of hidden states, so the same rows are valid under any
     hidden arity as long as no hidden column is present.
     """
-    if data.spec == spec:
+    if data.spec is spec or data.spec == spec:
         return data
     if data.is_complete:
         raise ValueError("cannot reinterpret complete data under another "
@@ -466,7 +494,7 @@ def _component_log_scores(params: ParamSet,
     the product for that copy alone.
     """
     log_values = params.log_values
-    scores = np.take(log_values, params.spec.layout.block, axis=-1) @ design_t
+    scores = log_values.take(params.spec.layout.block, axis=-1) @ design_t
     # In place: a second (c, K) array would cost more than the addition.
     scores += log_values[..., :params.spec.hidden_arity, None]
     return scores
@@ -492,7 +520,7 @@ def e_pass(params: ParamSet, data: Dataset):
     A stack of parameter sets gets (B,) log likelihoods and (B, c, K)
     posteriors, each copy the same bits as a call on that copy alone.
     """
-    if params.spec != data.spec:
+    if params.spec is not data.spec and params.spec != data.spec:
         raise ValueError("params and data describe different models")
     patterns = data.patterns
     scores = _component_log_scores(params, patterns.design_t)
@@ -522,15 +550,15 @@ def log_prior(params: ParamSet, prior: PriorSet) -> float:
     each row, so it can be added to the log likelihood and expanded there
     directly.  A stack of parameter sets gets one density per copy.
     """
-    if params.spec != prior.spec:
+    if params.spec is not prior.spec and params.spec != prior.spec:
         raise ValueError("params and prior describe different models")
     if (params.values <= 0.0).any():
         raise ValueError("prior density needs interior parameters")
     terms = prior.log_normalizers + params.spec.layout.rows.sum(
-        (prior.values - 1.0) * params.log_values)
+        prior.less_one * params.log_values)
     # cumsum adds strictly left to right, so the row terms are summed in
     # table order, row by row, with no pairwise regrouping.
-    return _scalar(np.cumsum(terms, axis=-1)[..., -1])
+    return _scalar(terms.cumsum(axis=-1)[..., -1])
 
 
 def log_posterior_g(params: ParamSet, data: Dataset, prior: PriorSet) -> float:
@@ -551,8 +579,9 @@ def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:
     leaf counts together: ``post @ (w [1, X])``, whose first column is each
     state's weighted posterior total and whose other columns, scattered to
     the leaf tables, sum state ``j``'s weighted posterior over the patterns
-    split by each leaf's value.  A (B, c, K) stack of posteriors gives a
-    stack of counts, one product per copy.  Indicator posteriors give
+    split by each leaf's value; one ``take`` through ``Layout.counts``
+    packs both.  A (B, c, K) stack of posteriors gives a stack of counts,
+    one product per copy.  Indicator posteriors give
     complete-data counts.
 
     The product adds each entry's terms in BLAS's order, not record order.
@@ -560,12 +589,9 @@ def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:
     give the same bits; a different BLAS build or thread count may round
     large tables differently.
     """
-    layout = data.spec.layout
     both = post @ data.patterns.counts_design
-    values = np.empty(post.shape[:-2] + (layout.size,))
-    values[..., :data.spec.hidden_arity] = both[..., 0]
-    values[..., layout.block] = both[..., 1:]
-    return StatSet.from_values(data.spec, values)
+    return StatSet.from_values(data.spec, both.reshape(
+        both.shape[:-2] + (-1,)).take(data.spec.layout.counts, axis=-1))
 
 
 def expected_counts(params: ParamSet, data: Dataset) -> StatSet:

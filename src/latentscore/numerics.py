@@ -4,7 +4,11 @@ positive-definite log-determinants and log Gamma.
 Everything here is deterministic given its inputs; randomness enters only
 through :class:`SeededStream`, which maps a ``(master_seed, stream_index)``
 pair to an independent generator so that experiment results never depend on
-scheduling order.
+scheduling order.  :func:`standard_gamma_rows` draws from many fresh streams
+without building a generator for each: it derives every stream's PCG64
+start state in one vectorized pass that is numpy's own ``SeedSequence``
+mixing and PCG64 seeding, which NEP 19 keeps stream-stable, so each stream
+draws the bits its own generator would.
 
 The library's only runtime dependency is numpy.  :func:`gammaln` computes
 log Gamma by the recurrence and Stirling's series, for the Dirichlet
@@ -45,6 +49,9 @@ class SeededStream:
     Two streams built from the same pair yield identical draw sequences;
     streams with distinct indices are independent for our purposes.  Each
     stream is single-owner: concurrent units must each hold their own.
+    A fresh stream may draw before its generator exists, through
+    ``standard_gamma_rows``; its generator, once built, continues after
+    those draws.
     """
 
     master_seed: int
@@ -52,6 +59,9 @@ class SeededStream:
     _generator: np.random.Generator | None = field(
         default=None, repr=False, compare=False
     )
+    # The PCG64 state after draws that ``standard_gamma_rows`` made for this
+    # stream before its generator was built; ``generator`` resumes from it.
+    _resume: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.master_seed < (1 << 64):
@@ -61,11 +71,17 @@ class SeededStream:
 
     @property
     def generator(self) -> np.random.Generator:
+        """numpy's ``default_rng`` on ``SeedSequence(master_seed,
+        spawn_key=(stream_index,))``, built on first use; it continues
+        after any draws ``standard_gamma_rows`` made for the stream."""
         if self._generator is None:
             seq = np.random.SeedSequence(
                 entropy=self.master_seed, spawn_key=(self.stream_index,)
             )
             self._generator = np.random.default_rng(seq)
+            if self._resume is not None:
+                self._generator.bit_generator.state = self._resume
+                self._resume = None
         return self._generator
 
     def child(self, index: int) -> "SeededStream":
@@ -74,6 +90,142 @@ class SeededStream:
             raise ValueError("child index must be non-negative")
         mixed = _splitmix64(self.stream_index ^ _splitmix64(index + 1))
         return SeededStream(self.master_seed, mixed)
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): entropy words are
+# hashed into a pool of four uint32 words, and the pool is hashed out into
+# the generator's state words.  Each hash call t xors with h_t and multiplies
+# by h_(t+1) = h_t * mult, so the constants depend on the call's position
+# alone, never on the data.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# Hash calls made while mixing the padded run entropy: one per pool word,
+# then one per ordered pair of distinct pool words.
+_PREFIX_CALLS = _POOL_SIZE * _POOL_SIZE
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_chain(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) constants of a hash's first ``n`` calls."""
+    chain, h = [], init
+    for _ in range(n):
+        nxt = (h * mult) & _MASK32
+        chain.append((h, nxt))
+        h = nxt
+    return chain
+
+
+def _hashmix(value, xor, mult):
+    # On Python ints and on uint32 arrays alike: the mask keeps an int to 32
+    # bits, and uint32 array arithmetic wraps by itself.
+    value = ((value ^ xor) * mult) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """numpy's split of a non-negative int into uint32 words, low first."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seeded_pool(master_seed: int, chain) -> list[int]:
+    """The pool after the run entropy, which a spawn key pads with zeros
+    to the pool size; shared by every stream of one master seed."""
+    words = _uint32_words(master_seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    pool = [_hashmix(w, *chain[t]) for t, w in enumerate(words)]
+    t = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *chain[t]))
+                t += 1
+    return pool
+
+
+_STATE_XOR, _STATE_MULT = np.array(
+    _hash_chain(_HASH_INIT_B, _HASH_MULT_B, 2 * _POOL_SIZE),
+    dtype=np.uint32).T
+
+
+def _pcg64_states(streams) -> list[tuple[int, int]]:
+    """Each fresh stream's PCG64 (state, increment) before its first draw.
+
+    This is ``SeedSequence(master_seed, spawn_key=(stream_index,))``
+    followed by ``generate_state(4, uint64)`` and PCG64's seeding, for all
+    streams of one master seed and key length at once: the pool after the
+    run entropy is computed once, each spawn-key word is mixed into every
+    stream's pool as uint32 arrays, and the pools are hashed out in one
+    pass.  PCG64 then takes the state words as a 128-bit seed ``s`` and
+    sequence ``q``: inc = 2q + 1 and state = (inc + s) * mult + inc.
+    """
+    groups = {}
+    for b, stream in enumerate(streams):
+        words = _uint32_words(stream.stream_index)
+        groups.setdefault((stream.master_seed, len(words)), []).append(
+            (b, words))
+    states = [None] * len(streams)
+    for (master_seed, n_words), members in groups.items():
+        chain = _hash_chain(_HASH_INIT_A, _HASH_MULT_A,
+                            _PREFIX_CALLS + _POOL_SIZE * n_words)
+        pool = np.tile(np.array(_seeded_pool(master_seed, chain),
+                                dtype=np.uint32), (len(members), 1))
+        key = np.array([words for _, words in members], dtype=np.uint32)
+        for k in range(n_words):
+            t = _PREFIX_CALLS + _POOL_SIZE * k
+            xor, mult = np.array(chain[t:t + _POOL_SIZE], dtype=np.uint32).T
+            pool = _mix(pool, _hashmix(key[:, k, None], xor, mult))
+        words = _hashmix(np.tile(pool, 2), _STATE_XOR, _STATE_MULT)
+        seeds = words.astype("<u4").view("<u8").tolist()
+        for (b, _), (s_hi, s_lo, q_hi, q_lo) in zip(members, seeds):
+            inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
+            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT
+                     + inc) & _MASK128
+            states[b] = (state, inc)
+    return states
+
+
+def standard_gamma_rows(streams, out: np.ndarray) -> None:
+    """Fill ``out[b]`` with ``standard_gamma(1.0)`` variates from stream b.
+
+    Rows are filled in order.  A stream whose generator is built, or that
+    has drawn before, draws from ``stream.generator``.  A fresh stream's
+    first row is seeded by ``_pcg64_states`` onto one local generator and
+    drawn there, and the stream keeps the PCG64 state after its draws, from
+    which ``generator`` resumes (a later row of the same stream included).
+    Every stream draws exactly the variates its own generator would.
+    """
+    first = {}
+    for b, stream in enumerate(streams):
+        if stream._generator is None and stream._resume is None:
+            first.setdefault(id(stream), b)
+    starts = dict(zip(first.values(),
+                      _pcg64_states([streams[b] for b in first.values()])))
+    local = np.random.Generator(np.random.PCG64(0))
+    bits = local.bit_generator
+    for b, stream in enumerate(streams):
+        if b in starts:
+            state, inc = starts[b]
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            local.standard_gamma(1.0, out=out[b])
+            stream._resume = bits.state
+        else:
+            stream.generator.standard_gamma(1.0, out=out[b])
 
 
 def sample_dirichlet(alphas, rng: SeededStream) -> np.ndarray:

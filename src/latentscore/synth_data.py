@@ -11,7 +11,7 @@ import numpy as np
 
 from .model_core import (Dataset, ModelSpec, ParamSet, StatSet,
                          counts_from_posteriors)
-from .numerics import GAMMA_FLOOR, SeededStream
+from .numerics import GAMMA_FLOOR, SeededStream, standard_gamma_rows
 
 
 class DatasetParseError(ValueError):
@@ -28,14 +28,15 @@ def generate_model(spec: ModelSpec, rng) -> ParamSet:
     ``standard_gamma(1.0)`` fill per stream, the same variates as
     ``gamma_variates`` on a shape array of ones, then one clamp at
     ``GAMMA_FLOOR``, one normalization and one value check for the whole
-    stack.
+    stack.  ``standard_gamma_rows`` makes the fills, seeding every fresh
+    stream in one vectorized pass instead of building its generator, and
+    each stream continues afterwards exactly as if it had drawn from its
+    own generator.
     """
     single = isinstance(rng, SeededStream)
     streams = [rng] if single else list(rng)
     draws = np.ones((len(streams), spec.layout.size))
-    skip = int(spec.hidden_arity == 1)
-    for row, stream in zip(draws, streams):
-        stream.generator.standard_gamma(1.0, out=row[skip:])
+    standard_gamma_rows(streams, draws[:, int(spec.hidden_arity == 1):])
     np.maximum(draws, GAMMA_FLOOR, out=draws)
     values = spec.layout.rows.normalize(draws)
     return ParamSet.from_values(spec, values[0] if single else values)

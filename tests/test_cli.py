@@ -232,6 +232,18 @@ class TestScore:
                 outputs.append(capsys.readouterr().out)
             assert outputs[0] == outputs[1]
 
+    def test_nan_model_entry_fails_the_value_rule(self, tmp_path, capsys):
+        model_path, data_path = self._fit(tmp_path, capsys)
+        doc = json.loads(model_path.read_text())
+        doc["leaves"][1][0][1] = math.nan
+        model_path.write_text(json.dumps(doc))
+        code = main(["score", "--model", str(model_path),
+                     "--data", str(data_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: probabilities must lie in (0, 1]\n"
+        assert captured.out == ""
+
     def test_unknown_measure_is_a_runtime_error(self, tmp_path, capsys):
         model_path, data_path = self._fit(tmp_path, capsys)
         code = main(["score", "--model", str(model_path),

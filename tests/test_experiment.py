@@ -50,6 +50,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             _tiny_config(measures=("laplace", "aic"))
 
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError,
+                           match="epsilon must be positive and finite"):
+            _tiny_config(epsilon=epsilon)
+
     def test_test_arities_inclusive(self):
         assert _tiny_config(test_c_range=(2, 5)).test_arities == (2, 3, 4, 5)
         assert _tiny_config(test_c_range=(4, 4)).test_arities == (4,)

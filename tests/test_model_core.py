@@ -40,6 +40,24 @@ def test_paramset_validation():
         ls.ParamSet(spec, root, [np.array([[0.5, 0.5], [1.2, -0.2]])])
 
 
+@pytest.mark.parametrize("cls, entry, bad, message", [
+    (ls.ParamSet, 0, np.nan, r"probabilities must lie in \(0, 1\]"),
+    (ls.ParamSet, 5, np.nan, r"probabilities must lie in \(0, 1\]"),
+    (ls.PriorSet, 5, np.nan, "hyperparameters must be positive and finite"),
+    (ls.PriorSet, 5, np.inf, "hyperparameters must be positive and finite"),
+    (ls.StatSet, 5, np.nan, "statistics must be non-negative"),
+], ids=["param-root-nan", "param-leaf-nan", "prior-nan", "prior-inf",
+        "stat-nan"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["set", "stack"])
+def test_value_rules_reject_non_finite_entries(cls, entry, bad, message,
+                                               stacked):
+    spec = ls.binary_spec(2, 2)
+    values = np.full((3 if stacked else 1, spec.layout.size), 0.5)
+    values[-1, entry] = bad  # a stack's last copy
+    with pytest.raises(ValueError, match=message):
+        cls.from_values(spec, values if stacked else values[0])
+
+
 def _single_leaf_params(c, root, rows):
     spec = ls.ModelSpec((len(rows[0]),), c)
     return ls.ParamSet(spec, np.array(root), [np.array(rows)])
@@ -438,6 +456,35 @@ def test_counts_equal_per_leaf_references(spec, n_samples, complete):
             assert np.array_equal(a, b)
         else:
             assert np.all(np.abs(a - b) <= bound * b)
+
+
+@pytest.mark.parametrize("stack", [None, 5], ids=["one-set", "stack"])
+@pytest.mark.parametrize("c", [1, 3])
+def test_counts_gather_equals_per_entry_scatter(c, stack):
+    """The packed counts are the count product's columns, entry by entry:
+    the root from column 0 of each state's row, and leaf i's (j, x) entry
+    from column 1 + r_1 + ... + r_(i-1) + x of state j's row."""
+    spec = ls.ModelSpec((2, 3, 5), c)
+    gen = np.random.default_rng(31 + c)
+    data = ls.Dataset(spec, gen.integers(0, spec.observed_arities,
+                                         size=(60, 3)))
+    k = data.patterns.weights.size
+    post = gen.random((c, k) if stack is None else (stack, c, k))
+    post /= post.sum(axis=-2, keepdims=True)
+    both = post @ data.patterns.counts_design
+    want = np.empty(post.shape[:-2] + (spec.layout.size,))
+    entry = 0
+    for j in range(c):
+        want[..., entry] = both[..., j, 0]
+        entry += 1
+    col = 1
+    for r in spec.observed_arities:
+        for j in range(c):
+            for x in range(r):
+                want[..., entry] = both[..., j, col + x]
+                entry += 1
+        col += r
+    assert np.array_equal(counts_from_posteriors(post, data).values, want)
 
 
 def _spec_data(arities, c, n_samples, seed):

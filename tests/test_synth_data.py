@@ -117,6 +117,23 @@ class TestGenerateModel:
         assert np.array_equal(got.values,
                               want[0] if n_streams is None else want)
 
+    def test_streams_continue_after_a_stacked_draw(self):
+        # A stream that drew a start in a stack and then draws a dataset gets
+        # the bits it gets when its own generator draws both.
+        spec = ls.ModelSpec((2, 3, 5), 3)
+        streams = [ls.SeededStream(m, i) for m in (0, 2**32, 2**64 - 1)
+                   for i in (0, 2**32 - 1, 2**64 + 7)]
+        stack = ls.generate_model(spec, streams)
+        for b, stream in enumerate(streams):
+            own = ls.SeededStream(stream.master_seed, stream.stream_index)
+            own.generator  # built first, so every draw is the generator's
+            alone = ls.generate_model(spec, own)
+            assert np.array_equal(stack.values[b], alone.values)
+            got = ls.sample_dataset(alone, 25, stream)
+            want = ls.sample_dataset(alone, 25, own)
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.hidden, want.hidden)
+
     def test_flat_dirichlet_mean(self):
         # averaging many independently generated root rows approaches uniform
         spec = ls.binary_spec(1, 4)
