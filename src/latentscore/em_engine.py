@@ -211,16 +211,16 @@ def tournament_init(data: Dataset, spec: ModelSpec, prior: PriorSet | None,
     """Halving tournament over random restarts; returns the winning ParamSet.
 
     ``spec`` is the model to fit; it may assume a different hidden arity
-    than ``data.spec`` carries.  Copy ``i`` draws its start from
-    ``rng.child(i)``, so the result depends only on the stream, not on
-    evaluation order.  Each round is one ``_em_loop`` run on the stack of
-    surviving copies, ranked by g under ``prior`` or, when ``prior`` is
-    None, by the log likelihood.
+    than ``data.spec`` carries.  The starts are one ``generate_model`` draw
+    with ``copies=tournament_start``: start ``i`` is the set
+    ``rng.child(i)`` draws alone, so the result depends only on the stream,
+    not on evaluation order.  Each round is one ``_em_loop`` run on the
+    stack of surviving copies, ranked by g under ``prior`` or, when
+    ``prior`` is None, by the log likelihood.
     """
     data = align_hidden_arity(spec, data)
     _check_fit_inputs(data, prior)
-    params = generate_model(spec, [rng.child(idx)
-                                   for idx in range(config.tournament_start)])
+    params = generate_model(spec, rng, copies=config.tournament_start)
     g, post = _evaluate(params, data, prior, _AT_START)
     # Between rounds the carried parameters and posteriors live only in
     # ``carried``.  Each round pops them into the call, so the loop holds

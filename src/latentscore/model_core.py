@@ -567,9 +567,10 @@ def log_posterior_g(params: ParamSet, data: Dataset, prior: PriorSet) -> float:
 
 
 def posterior_over_hidden(params: ParamSet, row) -> np.ndarray:
-    """p(root state | one observed record), computed in the log domain."""
+    """p(root state | one observed record), computed in the log domain;
+    shape (c,), or (B, c) for a stack of B sets."""
     record = Dataset(params.spec, np.reshape(row, (1, -1)))
-    return e_pass(params, record)[1][:, 0]
+    return e_pass(params, record)[1][..., 0]
 
 
 def counts_from_posteriors(post: np.ndarray, data: Dataset) -> StatSet:

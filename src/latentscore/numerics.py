@@ -4,11 +4,11 @@ positive-definite log-determinants and log Gamma.
 Everything here is deterministic given its inputs; randomness enters only
 through :class:`SeededStream`, which maps a ``(master_seed, stream_index)``
 pair to an independent generator so that experiment results never depend on
-scheduling order.  :func:`standard_gamma_rows` draws from many fresh streams
-without building a generator for each: it derives every stream's PCG64
-start state in one vectorized pass that is numpy's own ``SeedSequence``
-mixing and PCG64 seeding, which NEP 19 keeps stream-stable, so each stream
-draws the bits its own generator would.
+scheduling order.  :func:`child_standard_gamma` draws from a stream's
+first B children without building a generator for each: it derives every
+child's PCG64 start state in one vectorized pass that is numpy's own
+``SeedSequence`` mixing and PCG64 seeding, which NEP 19 keeps
+stream-stable, so each child draws the bits its own generator would.
 
 The library's only runtime dependency is numpy.  :func:`gammaln` computes
 log Gamma by the recurrence and Stirling's series, for the Dirichlet
@@ -42,6 +42,11 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _child_index(stream_index: int, index: int) -> int:
+    """The stream index of child ``index`` of stream ``stream_index``."""
+    return _splitmix64(stream_index ^ _splitmix64(index + 1))
+
+
 @dataclass
 class SeededStream:
     """A reproducible random stream addressed by (master_seed, stream_index).
@@ -49,9 +54,6 @@ class SeededStream:
     Two streams built from the same pair yield identical draw sequences;
     streams with distinct indices are independent for our purposes.  Each
     stream is single-owner: concurrent units must each hold their own.
-    A fresh stream may draw before its generator exists, through
-    ``standard_gamma_rows``; its generator, once built, continues after
-    those draws.
     """
 
     master_seed: int
@@ -59,9 +61,6 @@ class SeededStream:
     _generator: np.random.Generator | None = field(
         default=None, repr=False, compare=False
     )
-    # The PCG64 state after draws that ``standard_gamma_rows`` made for this
-    # stream before its generator was built; ``generator`` resumes from it.
-    _resume: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.master_seed < (1 << 64):
@@ -72,24 +71,20 @@ class SeededStream:
     @property
     def generator(self) -> np.random.Generator:
         """numpy's ``default_rng`` on ``SeedSequence(master_seed,
-        spawn_key=(stream_index,))``, built on first use; it continues
-        after any draws ``standard_gamma_rows`` made for the stream."""
+        spawn_key=(stream_index,))``, built on first use."""
         if self._generator is None:
             seq = np.random.SeedSequence(
                 entropy=self.master_seed, spawn_key=(self.stream_index,)
             )
             self._generator = np.random.default_rng(seq)
-            if self._resume is not None:
-                self._generator.bit_generator.state = self._resume
-                self._resume = None
         return self._generator
 
     def child(self, index: int) -> "SeededStream":
         """Derive a sub-stream by hashing (stream_index, index)."""
         if index < 0:
             raise ValueError("child index must be non-negative")
-        mixed = _splitmix64(self.stream_index ^ _splitmix64(index + 1))
-        return SeededStream(self.master_seed, mixed)
+        return SeededStream(self.master_seed,
+                            _child_index(self.stream_index, index))
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): entropy words are
@@ -161,28 +156,27 @@ _STATE_XOR, _STATE_MULT = np.array(
     dtype=np.uint32).T
 
 
-def _pcg64_states(streams) -> list[tuple[int, int]]:
-    """Each fresh stream's PCG64 (state, increment) before its first draw.
+def _pcg64_states(master_seed: int, indices) -> list[tuple[int, int]]:
+    """Each stream's PCG64 (state, increment) before its first draw.
 
-    This is ``SeedSequence(master_seed, spawn_key=(stream_index,))``
-    followed by ``generate_state(4, uint64)`` and PCG64's seeding, for all
-    streams of one master seed and key length at once: the pool after the
-    run entropy is computed once, each spawn-key word is mixed into every
-    stream's pool as uint32 arrays, and the pools are hashed out in one
-    pass.  PCG64 then takes the state words as a 128-bit seed ``s`` and
-    sequence ``q``: inc = 2q + 1 and state = (inc + s) * mult + inc.
+    This is ``SeedSequence(master_seed, spawn_key=(index,))`` followed by
+    ``generate_state(4, uint64)`` and PCG64's seeding, for all stream
+    indices of one key length at once: the pool after the run entropy is
+    computed once, each spawn-key word is mixed into every stream's pool as
+    uint32 arrays, and the pools are hashed out in one pass.  PCG64 then
+    takes the state words as a 128-bit seed ``s`` and sequence ``q``:
+    inc = 2q + 1 and state = (inc + s) * mult + inc.
     """
     groups = {}
-    for b, stream in enumerate(streams):
-        words = _uint32_words(stream.stream_index)
-        groups.setdefault((stream.master_seed, len(words)), []).append(
-            (b, words))
-    states = [None] * len(streams)
-    for (master_seed, n_words), members in groups.items():
-        chain = _hash_chain(_HASH_INIT_A, _HASH_MULT_A,
-                            _PREFIX_CALLS + _POOL_SIZE * n_words)
-        pool = np.tile(np.array(_seeded_pool(master_seed, chain),
-                                dtype=np.uint32), (len(members), 1))
+    for b, index in enumerate(indices):
+        words = _uint32_words(index)
+        groups.setdefault(len(words), []).append((b, words))
+    chain = _hash_chain(_HASH_INIT_A, _HASH_MULT_A,
+                        _PREFIX_CALLS + _POOL_SIZE * max(groups, default=0))
+    start = np.array(_seeded_pool(master_seed, chain), dtype=np.uint32)
+    states = [None] * len(indices)
+    for n_words, members in groups.items():
+        pool = np.tile(start, (len(members), 1))
         key = np.array([words for _, words in members], dtype=np.uint32)
         for k in range(n_words):
             t = _PREFIX_CALLS + _POOL_SIZE * k
@@ -198,34 +192,22 @@ def _pcg64_states(streams) -> list[tuple[int, int]]:
     return states
 
 
-def standard_gamma_rows(streams, out: np.ndarray) -> None:
-    """Fill ``out[b]`` with ``standard_gamma(1.0)`` variates from stream b.
+def child_standard_gamma(rng: SeededStream, out: np.ndarray) -> None:
+    """Fill ``out[b]`` with the ``standard_gamma(1.0)`` variates that
+    ``rng.child(b).generator`` draws first.
 
-    Rows are filled in order.  A stream whose generator is built, or that
-    has drawn before, draws from ``stream.generator``.  A fresh stream's
-    first row is seeded by ``_pcg64_states`` onto one local generator and
-    drawn there, and the stream keeps the PCG64 state after its draws, from
-    which ``generator`` resumes (a later row of the same stream included).
-    Every stream draws exactly the variates its own generator would.
+    ``_pcg64_states`` seeds the children in one pass, and each row is drawn
+    on one local generator set to its child's state, so no child builds a
+    generator.  ``rng`` itself draws nothing.
     """
-    first = {}
-    for b, stream in enumerate(streams):
-        if stream._generator is None and stream._resume is None:
-            first.setdefault(id(stream), b)
-    starts = dict(zip(first.values(),
-                      _pcg64_states([streams[b] for b in first.values()])))
+    indices = [_child_index(rng.stream_index, b) for b in range(len(out))]
     local = np.random.Generator(np.random.PCG64(0))
     bits = local.bit_generator
-    for b, stream in enumerate(streams):
-        if b in starts:
-            state, inc = starts[b]
-            bits.state = {"bit_generator": "PCG64",
-                          "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            local.standard_gamma(1.0, out=out[b])
-            stream._resume = bits.state
-        else:
-            stream.generator.standard_gamma(1.0, out=out[b])
+    for row, (state, inc) in zip(out, _pcg64_states(rng.master_seed, indices)):
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        local.standard_gamma(1.0, out=row)
 
 
 def sample_dirichlet(alphas, rng: SeededStream) -> np.ndarray:

@@ -11,35 +11,37 @@ import numpy as np
 
 from .model_core import (Dataset, ModelSpec, ParamSet, StatSet,
                          counts_from_posteriors)
-from .numerics import GAMMA_FLOOR, SeededStream, standard_gamma_rows
+from .numerics import GAMMA_FLOOR, SeededStream, child_standard_gamma
 
 
 class DatasetParseError(ValueError):
     """A dataset file failed to parse; the message names the offending line."""
 
 
-def generate_model(spec: ModelSpec, rng) -> ParamSet:
+def generate_model(spec: ModelSpec, rng: SeededStream,
+                   copies: int | None = None) -> ParamSet:
     """Draw every simplex row independently from the uniform Dirichlet, with
-    one Gamma(1, 1) variate per entry; with c=1 the root row is 1 and draws
-    none.
+    one Gamma(1, 1) variate per entry from ``rng.generator``; with c=1 the
+    root row is 1 and draws none.
 
-    ``rng`` is one ``SeededStream``, or a sequence of B streams for a
-    ``(B, P)`` stack whose copy b is the set drawn from stream b alone: one
-    ``standard_gamma(1.0)`` fill per stream, the same variates as
-    ``gamma_variates`` on a shape array of ones, then one clamp at
-    ``GAMMA_FLOOR``, one normalization and one value check for the whole
-    stack.  ``standard_gamma_rows`` makes the fills, seeding every fresh
-    stream in one vectorized pass instead of building its generator, and
-    each stream continues afterwards exactly as if it had drawn from its
-    own generator.
+    ``copies=B`` gives a ``(B, P)`` stack whose copy b is the set
+    ``generate_model(spec, rng.child(b))`` draws, and ``rng`` itself draws
+    nothing.  ``child_standard_gamma`` makes the B fills without building
+    the children's generators, then the whole stack is clamped at
+    ``GAMMA_FLOOR``, normalized and checked once.  Either way the variates
+    are those of ``gamma_variates`` on a shape array of ones.
     """
-    single = isinstance(rng, SeededStream)
-    streams = [rng] if single else list(rng)
-    draws = np.ones((len(streams), spec.layout.size))
-    standard_gamma_rows(streams, draws[:, int(spec.hidden_arity == 1):])
+    if copies is not None and copies < 1:
+        raise ValueError("copies must be at least 1")
+    draws = np.ones((copies or 1, spec.layout.size))
+    fill = draws[:, int(spec.hidden_arity == 1):]
+    if copies is None:
+        rng.generator.standard_gamma(1.0, out=fill[0])
+    else:
+        child_standard_gamma(rng, fill)
     np.maximum(draws, GAMMA_FLOOR, out=draws)
     values = spec.layout.rows.normalize(draws)
-    return ParamSet.from_values(spec, values[0] if single else values)
+    return ParamSet.from_values(spec, values[0] if copies is None else values)
 
 
 def sample_dataset(model: ParamSet, n_samples: int, rng: SeededStream) -> Dataset:

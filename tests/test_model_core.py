@@ -237,6 +237,16 @@ class TestPosteriorOverHidden:
         for row in data.rows:
             assert ls.posterior_over_hidden(model, row).sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_stack_equals_per_copy_calls(self):
+        spec = ls.binary_spec(3, 2)
+        stack = ls.generate_model(spec, ls.SeededStream(9, 0), copies=3)
+        post = ls.posterior_over_hidden(stack, [1, 0, 1])
+        assert post.shape == (3, 2)
+        for b in range(3):
+            alone = ls.ParamSet.from_values(spec, stack.values[b])
+            assert np.array_equal(post[b],
+                                  ls.posterior_over_hidden(alone, [1, 0, 1]))
+
     @pytest.mark.parametrize("row", [[-1], [0, 1], []],
                              ids=["negative-state", "extra-field", "short"])
     def test_malformed_record_rejected(self, row):

@@ -11,8 +11,8 @@ from latentscore import (
     log_det_pd,
     sample_dirichlet,
 )
-from latentscore.numerics import (_pcg64_states, gammaln,
-                                  standard_gamma_rows)
+from latentscore.numerics import (_pcg64_states, child_standard_gamma,
+                                  gammaln)
 
 
 def _gammaln_arguments() -> np.ndarray:
@@ -124,76 +124,27 @@ SEED_PASS_INDICES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 12345)
 SEED_PASS_MASTERS = (0, 2**32, 2**64 - 1)
 
 
-def _own_generator(stream):
-    """The stream's generator as a stream builds it, in a new stream."""
-    return SeededStream(stream.master_seed, stream.stream_index).generator
-
-
 class TestSeedPass:
-    """``standard_gamma_rows`` seeds fresh streams without their generators;
-    every draw and every later draw must be the generator's own bits."""
+    """``child_standard_gamma`` seeds a stream's children without their
+    generators; every draw must be the child generator's own bits."""
 
     def test_states_are_numpys_seeding(self):
-        streams = [SeededStream(m, i) for m in SEED_PASS_MASTERS
-                   for i in SEED_PASS_INDICES]
-        for stream, state in zip(streams, _pcg64_states(streams)):
-            want = _own_generator(stream).bit_generator.state["state"]
-            assert state == (want["state"], want["inc"])
+        for master in SEED_PASS_MASTERS:
+            states = _pcg64_states(master, SEED_PASS_INDICES)
+            for index, state in zip(SEED_PASS_INDICES, states):
+                want = SeededStream(master, index).generator
+                want = want.bit_generator.state["state"]
+                assert state == (want["state"], want["inc"])
 
     @pytest.mark.parametrize("master", SEED_PASS_MASTERS)
     def test_draws_match_each_streams_generator(self, master):
-        streams = [SeededStream(master, i) for i in SEED_PASS_INDICES]
-        out = np.empty((len(streams), 9))
-        standard_gamma_rows(streams, out)
-        for row, stream in zip(out, streams):
-            assert np.array_equal(
-                row, _own_generator(stream).standard_gamma(1.0, 9))
-
-    def test_stack_mixing_master_seeds(self):
-        streams = [SeededStream(m, i) for i in SEED_PASS_INDICES
-                   for m in SEED_PASS_MASTERS]
-        out = np.empty((len(streams), 6))
-        standard_gamma_rows(streams, out)
-        for row, stream in zip(out, streams):
-            assert np.array_equal(
-                row, _own_generator(stream).standard_gamma(1.0, 6))
-
-    def test_built_generator_keeps_its_own_path(self):
-        built, fresh = SeededStream(3, 2**40), SeededStream(3, 2**40 + 1)
-        built.generator.random(3)
-        out = np.empty((2, 5))
-        standard_gamma_rows([built, fresh], out)
-        want = _own_generator(built)
-        want.random(3)
-        assert np.array_equal(out[0], want.standard_gamma(1.0, 5))
-        assert np.array_equal(out[1],
-                              _own_generator(fresh).standard_gamma(1.0, 5))
-        assert np.array_equal(built.generator.random(4), want.random(4))
-
-    def test_fresh_stream_continues_after_its_draws(self):
-        # A later call takes the generator path, resumed after the first.
-        streams = [SeededStream(m, i) for m in SEED_PASS_MASTERS
-                   for i in SEED_PASS_INDICES]
-        first, second = (np.empty((len(streams), 7)) for _ in range(2))
-        standard_gamma_rows(streams, first)
-        standard_gamma_rows(streams, second)
-        for b, stream in enumerate(streams):
-            want = _own_generator(stream)
-            assert np.array_equal(first[b], want.standard_gamma(1.0, 7))
-            assert np.array_equal(second[b], want.standard_gamma(1.0, 7))
-            assert np.array_equal(stream.generator.random(5), want.random(5))
-            assert (stream.generator.bit_generator.state
-                    == want.bit_generator.state)
-
-    def test_stream_repeated_in_a_stack_draws_in_turn(self):
-        stream, other = SeededStream(8, 5), SeededStream(8, 6)
-        out = np.empty((3, 4))
-        standard_gamma_rows([stream, other, stream], out)
-        want = _own_generator(stream)
-        assert np.array_equal(out[0], want.standard_gamma(1.0, 4))
-        assert np.array_equal(out[1],
-                              _own_generator(other).standard_gamma(1.0, 4))
-        assert np.array_equal(out[2], want.standard_gamma(1.0, 4))
+        for parent in SEED_PASS_INDICES:
+            rng = SeededStream(master, parent)
+            out = np.empty((5, 9))
+            child_standard_gamma(rng, out)
+            for b, row in enumerate(out):
+                assert np.array_equal(
+                    row, rng.child(b).generator.standard_gamma(1.0, 9))
 
 
 class TestGammaln:

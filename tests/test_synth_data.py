@@ -77,7 +77,8 @@ class TestGenerateModel:
                              ids=["n8-c4", "mixed-c3", "c1"])
     def test_stack_of_streams_equals_one_draw_per_stream(self, spec,
                                                          monkeypatch):
-        streams = [ls.SeededStream(34, 0).child(k) for k in range(16)]
+        # Copy b of a stack is the set that child b draws alone.
+        rng = ls.SeededStream(34, 0)
         checks = []
         check = ls.ParamSet._check_values
 
@@ -86,53 +87,49 @@ class TestGenerateModel:
             return check(self, values)
 
         monkeypatch.setattr(ls.ParamSet, "_check_values", counted)
-        stack = ls.generate_model(spec, streams)
+        stack = ls.generate_model(spec, rng, copies=16)
         assert checks == [(16, spec.layout.size)]
-        for b, stream in enumerate(streams):
-            alone = ls.generate_model(spec, ls.SeededStream(
-                stream.master_seed, stream.stream_index))
+        for b in range(16):
+            alone = ls.generate_model(spec, rng.child(b))
             assert np.array_equal(stack.values[b], alone.values)
 
     @pytest.mark.parametrize("spec", [ls.binary_spec(8, 4),
                                       ls.ModelSpec((2, 3, 5, 9, 12), 3),
                                       ls.ModelSpec((2, 3), 1)],
                              ids=["n8-c4", "mixed-c3", "c1"])
-    @pytest.mark.parametrize("n_streams", [None, 1, 16],
+    @pytest.mark.parametrize("copies", [None, 1, 16],
                              ids=["stream", "one-of-many", "many"])
-    def test_draw_equals_gamma_variates_on_ones(self, spec, n_streams):
-        # The recipe every seed was drawn with: per stream, gamma_variates
-        # on a shape array of ones (the root skipped at c=1), then every
-        # row normalized.
-        def streams():
-            return [ls.SeededStream(36, 0).child(k)
-                    for k in range(n_streams or 1)]
-
-        got = ls.generate_model(spec, streams()[0] if n_streams is None
-                                else streams())
+    def test_draw_equals_gamma_variates_on_ones(self, spec, copies):
+        # The recipe every seed was drawn with: per stream (the stream
+        # itself, or child b for copy b), gamma_variates on a shape array
+        # of ones (the root skipped at c=1), then every row normalized.
+        rng = ls.SeededStream(36, 0)
+        got = ls.generate_model(spec, rng, copies=copies)
+        streams = ([ls.SeededStream(36, 0)] if copies is None
+                   else [rng.child(b) for b in range(copies)])
         skip = int(spec.hidden_arity == 1)
-        draws = np.ones((n_streams or 1, spec.layout.size))
-        for row, stream in zip(draws, streams()):
+        draws = np.ones((len(streams), spec.layout.size))
+        for row, stream in zip(draws, streams):
             row[skip:] = gamma_variates(np.ones(row.size - skip), stream)
         want = spec.layout.rows.normalize(draws)
         assert np.array_equal(got.values,
-                              want[0] if n_streams is None else want)
+                              want[0] if copies is None else want)
 
-    def test_streams_continue_after_a_stacked_draw(self):
-        # A stream that drew a start in a stack and then draws a dataset gets
-        # the bits it gets when its own generator draws both.
-        spec = ls.ModelSpec((2, 3, 5), 3)
-        streams = [ls.SeededStream(m, i) for m in (0, 2**32, 2**64 - 1)
-                   for i in (0, 2**32 - 1, 2**64 + 7)]
-        stack = ls.generate_model(spec, streams)
-        for b, stream in enumerate(streams):
-            own = ls.SeededStream(stream.master_seed, stream.stream_index)
-            own.generator  # built first, so every draw is the generator's
-            alone = ls.generate_model(spec, own)
-            assert np.array_equal(stack.values[b], alone.values)
-            got = ls.sample_dataset(alone, 25, stream)
-            want = ls.sample_dataset(alone, 25, own)
-            assert np.array_equal(got.rows, want.rows)
-            assert np.array_equal(got.hidden, want.hidden)
+    @pytest.mark.parametrize("built", [False, True], ids=["fresh", "built"])
+    def test_stacked_draw_leaves_the_stream_untouched(self, built):
+        rng, own = ls.SeededStream(37, 3), ls.SeededStream(37, 3)
+        if built:
+            rng.generator.random(2)
+            own.generator.random(2)
+        ls.generate_model(ls.binary_spec(8, 4), rng, copies=8)
+        assert (rng.generator.bit_generator.state
+                == own.generator.bit_generator.state)
+
+    @pytest.mark.parametrize("copies", [0, -1])
+    def test_copies_below_one_rejected(self, copies):
+        with pytest.raises(ValueError, match="copies"):
+            ls.generate_model(ls.binary_spec(2, 2), ls.SeededStream(38, 0),
+                              copies=copies)
 
     def test_flat_dirichlet_mean(self):
         # averaging many independently generated root rows approaches uniform
